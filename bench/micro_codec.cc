@@ -63,6 +63,25 @@ BM_ForwardDct8x8(benchmark::State &state)
 BENCHMARK(BM_ForwardDct8x8);
 
 void
+BM_InverseDct8x8(benchmark::State &state)
+{
+    // Dequantized levels of a busy block: the inverse runs only on
+    // blocks with a nonzero level.
+    Rng rng(13);
+    CoeffBlock levels;
+    for (auto &l : levels)
+        l = static_cast<int16_t>(rng.uniformRange(-8, 8));
+    std::array<int32_t, kTxCoeffs> in;
+    dequantize(levels, 32, in);
+    ResidualBlock out;
+    for (auto _ : state) {
+        inverseDct(in, out);
+        benchmark::DoNotOptimize(out);
+    }
+}
+BENCHMARK(BM_InverseDct8x8);
+
+void
 BM_TransformQuantizeRoundTrip(benchmark::State &state)
 {
     Rng rng(4);
@@ -72,7 +91,7 @@ BM_TransformQuantizeRoundTrip(benchmark::State &state)
     CoeffBlock levels;
     ResidualBlock recon;
     for (auto _ : state) {
-        transformQuantize(in, 32, 0.33, levels, recon);
+        transformQuantize(in, 32, 0.33, false, 0.0, levels, recon);
         benchmark::DoNotOptimize(recon);
     }
 }

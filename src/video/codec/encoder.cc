@@ -77,37 +77,6 @@ struct Candidate
     }
 };
 
-/**
- * Trellis-style coefficient optimization: drop trailing +-1 levels
- * when the rate saving beats the distortion increase. The software
- * profile's edge over the hardware pipeline (Section 4.1: "the
- * pipelined architecture cannot easily support all the same tools as
- * CPU, such as Trellis quantization").
- */
-void
-optimizeCoeffs(CoeffBlock &levels, int qp, double lambda)
-{
-    const auto &scan = zigzagOrder();
-    const double dq = qstep(qp);
-    const double delta_d = dq * dq;       // SSE increase of zeroing one.
-    const double saved_bits = 5.0;        // sig + sign + mag + EOB shift.
-    if (lambda * saved_bits <= delta_d)
-        return;
-    // Only the high-frequency tail is eligible: zeroing low bands
-    // visibly hurts, which real trellis accounts for via exact
-    // distortion and our approximation does not.
-    for (int si = kTxCoeffs - 1; si >= 21; --si) {
-        auto &level = levels[static_cast<size_t>(
-            scan[static_cast<size_t>(si)])];
-        if (level == 0)
-            continue;
-        if (std::abs(level) == 1)
-            level = 0;
-        else
-            break;
-    }
-}
-
 /** The per-sequence encoder engine. */
 class Engine
 {
@@ -181,11 +150,9 @@ Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
             }
         }
         auto &levels = cand.coeff_y[static_cast<size_t>(q)];
-        transformQuantize(residual, qp, tools_.deadzone, levels, rres);
-        if (tools_.coeff_opt) {
-            optimizeCoeffs(levels, qp, lambda);
-            reconstructResidual(levels, qp, rres);
-        }
+        cand.nonzero += transformQuantize(residual, qp, tools_.deadzone,
+                                          tools_.coeff_opt, lambda, levels,
+                                          rres);
         for (int r = 0; r < 8; ++r) {
             for (int c = 0; c < 8; ++c) {
                 const int idx = (qy + r) * kMbSize + qx + c;
@@ -198,8 +165,6 @@ Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
                 dist += static_cast<uint64_t>(d * d);
             }
         }
-        for (auto l : levels)
-            cand.nonzero += l != 0;
         bits += estimateCoeffBits(levels);
     }
 
@@ -210,11 +175,9 @@ Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
         for (int i = 0; i < kHalf * kHalf; ++i)
             residual[static_cast<size_t>(i)] = static_cast<int16_t>(
                 static_cast<int>(src[i]) - pred[i]);
-        transformQuantize(residual, qp, tools_.deadzone, levels, rres);
-        if (tools_.coeff_opt) {
-            optimizeCoeffs(levels, qp, lambda);
-            reconstructResidual(levels, qp, rres);
-        }
+        cand.nonzero += transformQuantize(residual, qp, tools_.deadzone,
+                                          tools_.coeff_opt, lambda, levels,
+                                          rres);
         for (int i = 0; i < kHalf * kHalf; ++i) {
             const int v = pred[i] + rres[static_cast<size_t>(i)];
             recon[static_cast<size_t>(i)] =
@@ -223,8 +186,6 @@ Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
                           recon[static_cast<size_t>(i)];
             dist += static_cast<uint64_t>(d * d);
         }
-        for (auto l : levels)
-            cand.nonzero += l != 0;
         bits += estimateCoeffBits(levels);
     };
     chroma(src_u, pred_u, cand.coeff_u, cand.recon_u);

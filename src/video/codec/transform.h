@@ -2,9 +2,10 @@
  * @file
  * 8x8 integer DCT, quantization, and zigzag scan.
  *
- * The transform is an integer-matrix DCT-II (13-bit fixed-point
- * basis) so results are bit-exact across platforms; the encoder's
- * reconstruction path and the decoder use the identical inverse.
+ * The transform is an integer DCT-II (13-bit fixed-point basis),
+ * computed as even/odd partial butterflies, so results are bit-exact
+ * across platforms; the encoder's reconstruction path and the decoder
+ * use the identical inverse.
  * Quantization uses a dead-zone uniform quantizer with a 64-step
  * exponential step-size table (qp in [0, 63]).
  */
@@ -50,13 +51,19 @@ const std::array<int, kTxCoeffs> &zigzagOrder();
 
 /**
  * Full residual coding round trip used by both mode decision and the
- * final encode: transform, quantize, and reconstruct the residual.
- * @return Number of nonzero levels.
+ * final encode: transform, quantize, optionally drop trailing +-1
+ * levels (the software profile's trellis step), and reconstruct the
+ * residual once from the final levels.
+ * @param coeff_opt Run the trellis step (Toolset::coeff_opt).
+ * @param lambda RD lambda the trellis step weighs rate against.
+ * @return Number of nonzero levels after the trellis step.
  */
 int transformQuantize(const ResidualBlock &residual, int qp, double deadzone,
-                      CoeffBlock &levels, ResidualBlock &recon_residual);
+                      bool coeff_opt, double lambda, CoeffBlock &levels,
+                      ResidualBlock &recon_residual);
 
-/** Decoder-side reconstruction of a residual from levels. */
+/** Decoder-side reconstruction of a residual from levels; an all-zero
+ *  block reconstructs to zeros without a transform. */
 void reconstructResidual(const CoeffBlock &levels, int qp,
                          ResidualBlock &recon_residual);
 

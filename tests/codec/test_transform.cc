@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -10,6 +11,8 @@
 namespace wsva::video::codec {
 namespace {
 
+using Spectrum = std::array<int32_t, kTxCoeffs>;
+
 ResidualBlock
 randomResidual(wsva::Rng &rng, int amplitude)
 {
@@ -17,6 +20,263 @@ randomResidual(wsva::Rng &rng, int amplitude)
     for (auto &v : r)
         v = static_cast<int16_t>(rng.uniformRange(-amplitude, amplitude));
     return r;
+}
+
+/**
+ * Reference transforms: the plain 8x8 matrix products over the same
+ * rounded 13-bit basis, with the same stage shifts and casts. The
+ * codec's butterflies must match them bit for bit on every input.
+ */
+struct ReferenceDct
+{
+    static constexpr int kBasisBits = 13;
+    static constexpr int kShift = 2 * kBasisBits - 6;
+    static constexpr int64_t kRound = 1LL << (kShift - 1);
+    int32_t basis[kTxSize][kTxSize];
+
+    ReferenceDct()
+    {
+        for (int u = 0; u < kTxSize; ++u) {
+            const double a = u == 0 ? std::sqrt(1.0 / kTxSize)
+                                    : std::sqrt(2.0 / kTxSize);
+            for (int k = 0; k < kTxSize; ++k) {
+                const double v =
+                    a * std::cos((2 * k + 1) * u * M_PI / (2.0 * kTxSize));
+                basis[u][k] = static_cast<int32_t>(
+                    std::lround(v * (1 << kBasisBits)));
+            }
+        }
+    }
+
+    void
+    forward(const ResidualBlock &in, Spectrum &out) const
+    {
+        int32_t tmp[kTxSize][kTxSize];
+        for (int u = 0; u < kTxSize; ++u) {
+            for (int col = 0; col < kTxSize; ++col) {
+                int64_t acc = 0;
+                for (int k = 0; k < kTxSize; ++k)
+                    acc += static_cast<int64_t>(basis[u][k]) *
+                           in[static_cast<size_t>(k * kTxSize + col)];
+                tmp[u][col] = static_cast<int32_t>(acc >> 6);
+            }
+        }
+        for (int u = 0; u < kTxSize; ++u) {
+            for (int v = 0; v < kTxSize; ++v) {
+                int64_t acc = 0;
+                for (int k = 0; k < kTxSize; ++k)
+                    acc += static_cast<int64_t>(basis[v][k]) * tmp[u][k];
+                out[static_cast<size_t>(u * kTxSize + v)] =
+                    static_cast<int32_t>((acc + kRound) >> kShift);
+            }
+        }
+    }
+
+    void
+    inverse(const Spectrum &in, ResidualBlock &out) const
+    {
+        int32_t tmp[kTxSize][kTxSize];
+        for (int k = 0; k < kTxSize; ++k) {
+            for (int v = 0; v < kTxSize; ++v) {
+                int64_t acc = 0;
+                for (int u = 0; u < kTxSize; ++u)
+                    acc += static_cast<int64_t>(basis[u][k]) *
+                           in[static_cast<size_t>(u * kTxSize + v)];
+                tmp[k][v] = static_cast<int32_t>(acc >> 6);
+            }
+        }
+        for (int k = 0; k < kTxSize; ++k) {
+            for (int l = 0; l < kTxSize; ++l) {
+                int64_t acc = 0;
+                for (int v = 0; v < kTxSize; ++v)
+                    acc += static_cast<int64_t>(basis[v][l]) * tmp[k][v];
+                const auto value =
+                    static_cast<int32_t>((acc + kRound) >> kShift);
+                out[static_cast<size_t>(k * kTxSize + l)] =
+                    static_cast<int16_t>(std::clamp(value, -32768, 32767));
+            }
+        }
+    }
+};
+
+const ReferenceDct &
+reference()
+{
+    static const ReferenceDct r;
+    return r;
+}
+
+void
+expectForwardMatchesReference(const ResidualBlock &in)
+{
+    Spectrum got;
+    Spectrum want;
+    forwardDct(in, got);
+    reference().forward(in, want);
+    ASSERT_EQ(got, want);
+}
+
+void
+expectInverseMatchesReference(const Spectrum &in)
+{
+    ResidualBlock got;
+    ResidualBlock want;
+    inverseDct(in, got);
+    reference().inverse(in, want);
+    ASSERT_EQ(got, want);
+}
+
+int
+sign(int32_t v)
+{
+    return v < 0 ? -1 : 1;
+}
+
+TEST(DctReference, ForwardMatchesMatrixProductOnRandomBlocks)
+{
+    wsva::Rng rng(21);
+    for (int amplitude : {20, 255, 32767}) {
+        for (int trial = 0; trial < 2000; ++trial) {
+            SCOPED_TRACE(testing::Message() << "amplitude " << amplitude
+                                            << " trial " << trial);
+            expectForwardMatchesReference(randomResidual(rng, amplitude));
+        }
+    }
+}
+
+TEST(DctReference, ForwardMatchesAtStageOneInt32Bound)
+{
+    // Blocks whose signs follow basis rows u (down the columns) and v
+    // (along the rows) drive stage 1's column sums, then stage 2's row
+    // sums, to their largest magnitude: 23168 * 32767 for u in {0, 4}.
+    const auto &b = reference().basis;
+    for (int u = 0; u < kTxSize; ++u) {
+        for (int v = 0; v < kTxSize; ++v) {
+            for (int polarity : {1, -1}) {
+                ResidualBlock in;
+                for (int k = 0; k < kTxSize; ++k) {
+                    for (int c = 0; c < kTxSize; ++c) {
+                        in[static_cast<size_t>(k * kTxSize + c)] =
+                            static_cast<int16_t>(polarity * sign(b[u][k]) *
+                                                 sign(b[v][c]) * 32767);
+                    }
+                }
+                SCOPED_TRACE(testing::Message() << "u " << u << " v " << v
+                                                << " polarity " << polarity);
+                expectForwardMatchesReference(in);
+            }
+        }
+    }
+    // The one input reaching 23168 * 32768 exactly.
+    ResidualBlock floor_block;
+    floor_block.fill(-32768);
+    expectForwardMatchesReference(floor_block);
+    Spectrum freq;
+    forwardDct(floor_block, freq);
+    EXPECT_LT(freq[0], 0);
+}
+
+TEST(DctReference, InverseMatchesMatrixProductOnDecodableLevels)
+{
+    // Levels come from the bitstream: anything in int16, dequantized
+    // at up to qp 63 (step 211).
+    wsva::Rng rng(22);
+    for (int qp : {0, 32, kMaxQp}) {
+        for (int amplitude : {20, 255, 32767}) {
+            for (int trial = 0; trial < 500; ++trial) {
+                CoeffBlock levels;
+                for (auto &l : levels)
+                    l = static_cast<int16_t>(
+                        rng.uniformRange(-amplitude, amplitude));
+                Spectrum freq;
+                dequantize(levels, qp, freq);
+                SCOPED_TRACE(testing::Message()
+                             << "qp " << qp << " amplitude " << amplitude
+                             << " trial " << trial);
+                expectInverseMatchesReference(freq);
+            }
+        }
+    }
+}
+
+TEST(DctReference, InverseMatchesAtExtremeLevels)
+{
+    // Sign patterns aligned with basis columns k and l push both
+    // inverse stages to their largest sums (stage 1 past int32 before
+    // the >> 6), with every level at +-32767 * dequant(63).
+    const auto &b = reference().basis;
+    for (int k = 0; k < kTxSize; ++k) {
+        for (int l = 0; l < kTxSize; ++l) {
+            for (int polarity : {1, -1}) {
+                CoeffBlock levels;
+                for (int u = 0; u < kTxSize; ++u) {
+                    for (int v = 0; v < kTxSize; ++v) {
+                        levels[static_cast<size_t>(u * kTxSize + v)] =
+                            static_cast<int16_t>(polarity * sign(b[u][k]) *
+                                                 sign(b[v][l]) * 32767);
+                    }
+                }
+                Spectrum freq;
+                dequantize(levels, kMaxQp, freq);
+                SCOPED_TRACE(testing::Message() << "k " << k << " l " << l
+                                                << " polarity " << polarity);
+                expectInverseMatchesReference(freq);
+            }
+        }
+    }
+}
+
+TEST(TransformQuantize, AllZeroLevelsReconstructToZeros)
+{
+    CoeffBlock zero;
+    zero.fill(0);
+    for (int qp : {0, 32, kMaxQp}) {
+        ResidualBlock recon;
+        recon.fill(77);
+        reconstructResidual(zero, qp, recon);
+        for (auto v : recon)
+            ASSERT_EQ(v, 0) << "qp " << qp;
+        // The transform the skip stands in for gives the same zeros.
+        Spectrum freq;
+        dequantize(zero, qp, freq);
+        ResidualBlock full;
+        reference().inverse(freq, full);
+        EXPECT_EQ(recon, full);
+    }
+}
+
+TEST(TransformQuantize, TrellisReturnsFinalCountAndReconstructsFinalLevels)
+{
+    constexpr int kQp = 24;
+    // The encoder's RD lambda at this qp: large enough to engage the
+    // trellis (lambda * 5 bits > qstep^2).
+    const double lambda = 0.57 * qstep(kQp) * qstep(kQp);
+    wsva::Rng rng(23);
+    int trimmed_blocks = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const ResidualBlock in = randomResidual(rng, 12);
+        CoeffBlock plain;
+        ResidualBlock plain_recon;
+        const int plain_nz = transformQuantize(in, kQp, 0.33, false, lambda,
+                                               plain, plain_recon);
+        CoeffBlock levels;
+        ResidualBlock recon;
+        const int nz =
+            transformQuantize(in, kQp, 0.33, true, lambda, levels, recon);
+
+        int counted = 0;
+        for (auto l : levels)
+            counted += l != 0;
+        ASSERT_EQ(nz, counted) << "trial " << trial;
+        ResidualBlock expected;
+        reconstructResidual(levels, kQp, expected);
+        ASSERT_EQ(recon, expected) << "trial " << trial;
+        ASSERT_LE(nz, plain_nz);
+        if (nz < plain_nz)
+            ++trimmed_blocks;
+    }
+    // The inputs must actually exercise the trellis.
+    EXPECT_GT(trimmed_blocks, 0);
 }
 
 TEST(Dct, DcOfFlatBlock)
@@ -95,7 +355,7 @@ TEST_P(QuantRoundTrip, ReconstructionErrorBoundedByQstep)
     ResidualBlock in = randomResidual(rng, 200);
     CoeffBlock levels;
     ResidualBlock recon;
-    transformQuantize(in, qp, 0.5, levels, recon);
+    transformQuantize(in, qp, 0.5, false, 0.0, levels, recon);
     const double step = qstep(qp);
     // Per-coefficient quantization error is <= step/2; the spatial-
     // domain error at any sample is a signed combination of 64 such
@@ -123,9 +383,10 @@ TEST_P(QuantRoundTrip, HigherQpNeverMoreNonzeros)
     CoeffBlock lo_levels;
     CoeffBlock hi_levels;
     ResidualBlock scratch;
-    const int nz_lo = transformQuantize(in, qp, 0.4, lo_levels, scratch);
+    const int nz_lo =
+        transformQuantize(in, qp, 0.4, false, 0.0, lo_levels, scratch);
     const int nz_hi =
-        transformQuantize(in, qp + 8, 0.4, hi_levels, scratch);
+        transformQuantize(in, qp + 8, 0.4, false, 0.0, hi_levels, scratch);
     EXPECT_GE(nz_lo, nz_hi);
 }
 
@@ -158,7 +419,8 @@ TEST(Quant, ZeroInputStaysZero)
     zero.fill(0);
     CoeffBlock levels;
     ResidualBlock recon;
-    const int nz = transformQuantize(zero, 20, 0.4, levels, recon);
+    const int nz =
+        transformQuantize(zero, 20, 0.4, false, 0.0, levels, recon);
     EXPECT_EQ(nz, 0);
     for (auto v : recon)
         ASSERT_EQ(v, 0);
