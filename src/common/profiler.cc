@@ -187,37 +187,39 @@ void
 ProfScopeSampled::enter(int phase, uint32_t period)
 {
     ProfileRegistry::ThreadBlock &b = ProfileRegistry::tls();
-    if (period > 1 && ++b.skip[phase] % period != 0) {
-        // Cheap path: exact call count, no clock reads.  The timed
-        // 1-in-period call carries this call's share of the time.
-        b.calls[phase].fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
     block_ = &b;
     phase_ = phase;
-    scale_ = period;
     const int d = b.depth.load(std::memory_order_relaxed);
     depth_ = d;
+    // Every call publishes its phase, timed or not, so the sampler
+    // sees the phase for all of its wall time.
     if (d < kMaxStackDepth) {
         b.stack[d].store(phase, std::memory_order_relaxed);
         b.depth.store(d + 1, std::memory_order_release);
     }
+    // Cheap path: no clock reads. The timed 1-in-period call carries
+    // this call's share of the time.
+    if (period > 1 && ++b.skip[phase] % period != 0)
+        return;
+    scale_ = period;
     start_ns_ = nowNs();
 }
 
 void
 ProfScopeSampled::leave()
 {
-    const uint64_t elapsed = (nowNs() - start_ns_) * scale_;
     ProfileRegistry::ThreadBlock &b = *block_;
-    b.incl_ns[phase_].fetch_add(elapsed, std::memory_order_relaxed);
     b.calls[phase_].fetch_add(1, std::memory_order_relaxed);
-    if (depth_ > 0 && depth_ <= kMaxStackDepth) {
-        const int parent =
-            b.stack[depth_ - 1].load(std::memory_order_relaxed);
-        if (parent >= 0 && parent < kMaxPhases)
-            b.child_ns[parent].fetch_add(elapsed,
-                                         std::memory_order_relaxed);
+    if (scale_ != 0) {
+        const uint64_t elapsed = (nowNs() - start_ns_) * scale_;
+        b.incl_ns[phase_].fetch_add(elapsed, std::memory_order_relaxed);
+        if (depth_ > 0 && depth_ <= kMaxStackDepth) {
+            const int parent =
+                b.stack[depth_ - 1].load(std::memory_order_relaxed);
+            if (parent >= 0 && parent < kMaxPhases)
+                b.child_ns[parent].fetch_add(elapsed,
+                                             std::memory_order_relaxed);
+        }
     }
     if (depth_ < kMaxStackDepth)
         b.depth.store(depth_, std::memory_order_release);

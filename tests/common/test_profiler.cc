@@ -238,6 +238,39 @@ TEST(ProfileRegistry, SamplerAttributesWallClockSamples)
     EXPECT_NE(collapsed.find("test/sampler/hot "), std::string::npos);
 }
 
+TEST(ProfileRegistry, SamplerSeesUntimedSampledCalls)
+{
+    // A per-block kernel: many short calls under a period-16 sampled
+    // scope, so 15 of every 16 calls skip the clocks. The sampler must
+    // still find the phase on the stack for (nearly) all of their wall
+    // time, not just during the timed 1/16.
+    ProfileRegistry &reg = freshRegistry();
+    const int outer = reg.intern("test/sampled_leaf");
+    const int hot = reg.intern("test/sampled_leaf/kernel");
+    reg.setEnabled(true);
+    reg.startSampler(/*period_us=*/200);
+    {
+        ProfScope o(outer);
+        const uint64_t start = prof::nowNs();
+        while (prof::nowNs() - start < 60'000'000) {
+            prof::ProfScopeSampled scope(hot, 16);
+            spin(20'000);
+        }
+    }
+    reg.stopSampler();
+    reg.setEnabled(false);
+
+    const auto snap = reg.snapshot();
+    const auto *p = findPhase(snap, "test/sampled_leaf/kernel");
+    ASSERT_NE(p, nullptr);
+    ASSERT_GT(snap.total_samples, 20u);
+    EXPECT_GT(2 * p->samples, snap.total_samples)
+        << p->samples << " of " << snap.total_samples << " leaf samples";
+    EXPECT_NE(reg.toCollapsed().find("test/sampled_leaf;test/sampled_leaf/"
+                                     "kernel "),
+              std::string::npos);
+}
+
 TEST(ProfileRegistry, CollapsedFallsBackToTimersWithoutSampler)
 {
     ProfileRegistry &reg = freshRegistry();
