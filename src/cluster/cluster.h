@@ -477,6 +477,8 @@ class ClusterSim
     // ---- Event engine (cluster_events.cc) -----------------------
     ClusterMetrics runEvents(double duration, double dt,
                              const ArrivalFn &arrivals);
+    /** Schedule the next ArrivalBatch (one is pending at a time). */
+    void scheduleArrivalBatch(double when);
     void handleArrivalBatch(const ArrivalFn &arrivals, double now);
     void handleHardFault(double now);
     void handleSilentFault(double now);
@@ -573,6 +575,7 @@ class ClusterSim
         std::vector<EventQueue::Handle> completion_ev;
         std::deque<int> repair_waiting; //!< Hosts deferred by the cap.
         std::vector<char> repair_waitlisted; //!< Dedup flag, host id.
+        bool batch_pending = false;    //!< An ArrivalBatch is queued.
         bool work_added = false;       //!< Backlog dispatch needed.
         bool capacity_changed = false; //!< A worker freed capacity.
     };

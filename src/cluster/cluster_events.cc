@@ -8,7 +8,10 @@
  *
  *  - ArrivalBatch: pull one dt's worth of arrivals, then reschedule.
  *    Times accumulate exactly like the tick loop's `now += dt`, so
- *    fault-free runs land on identical timestamps.
+ *    fault-free runs land on identical timestamps. Without an arrival
+ *    function the chain runs only while a deadline step or a shed lot
+ *    is queued, so dispatch notices slack running out and the lot's
+ *    release coming due.
  *  - HardFault / SilentFault: one fleet-level Poisson process per
  *    kind at rate (per-VCU rate x total VCUs), with a uniformly
  *    drawn victim discarded when it is not an active VCU. Thinning a
@@ -89,8 +92,16 @@ ClusterSim::updateCompletionEvent(Worker *w)
 }
 
 void
+ClusterSim::scheduleArrivalBatch(double when)
+{
+    ev_->queue.schedule(when, SimEventType::ArrivalBatch);
+    ev_->batch_pending = true;
+}
+
+void
 ClusterSim::handleArrivalBatch(const ArrivalFn &arrivals, double now)
 {
+    ev_->batch_pending = false;
     if (arrivals)
         pullArrivals(arrivals, now, ev_->dt);
     // Dispatch even on an empty batch: the first batch also covers
@@ -98,7 +109,7 @@ ClusterSim::handleArrivalBatch(const ArrivalFn &arrivals, double now)
     // schedules that backlog at the same time).
     ev_->work_added = true;
     if (arrivals && now < ev_->end)
-        ev_->queue.schedule(now + ev_->dt, SimEventType::ArrivalBatch);
+        scheduleArrivalBatch(now + ev_->dt);
 }
 
 void
@@ -249,8 +260,8 @@ ClusterSim::runEvents(double duration, double dt,
                 SimEventType::RepairDone, host.id);
     }
 
-    if (arrivals || !backlog_.empty())
-        st.queue.schedule(start + dt, SimEventType::ArrivalBatch);
+    if (arrivals || !backlog_.empty() || backlog_.shedSize() > 0)
+        scheduleArrivalBatch(start + dt);
     if (st.hard_rate > 0)
         st.queue.schedule(start + rng_.exponential(st.hard_rate),
                           SimEventType::HardFault);
@@ -308,6 +319,12 @@ ClusterSim::runEvents(double duration, double dt,
         } while (!st.queue.empty() && st.queue.nextTime() == t);
         if (st.work_added || st.capacity_changed)
             scheduleBacklog(t);
+        // A queued deadline step loses slack, and a shed lot comes due
+        // for release, with no event to mark either moment. While one
+        // waits, keep the arrival chain polling dispatch every dt.
+        if (!st.batch_pending && !dispatch_paused_ &&
+            (backlog_.deadlineSize() > 0 || backlog_.shedSize() > 0))
+            scheduleArrivalBatch(t + dt);
         checkConservation(t);
     }
 

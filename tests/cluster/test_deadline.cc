@@ -138,6 +138,7 @@ crunchConfig(bool shed)
     cfg.hosts = 1;
     cfg.vcus_per_host = 2;
     cfg.seed = 11;
+    cfg.engine = SimEngine::Event;
     cfg.deadline.shed_enabled = shed;
     cfg.deadline.slack_guard_seconds = 2.0;
     cfg.deadline.release_after_seconds = 5.0;
@@ -221,6 +222,34 @@ TEST(DeadlineScheduler, ShedStepsStayInLedgerWhileParked)
     EXPECT_EQ(m.shed_remaining, 0u);
     EXPECT_EQ(sim.conservation().completed,
               sim.conservation().submitted);
+}
+
+TEST(DeadlineScheduler, ShedLotReleasesWithNothingElseQueued)
+{
+    // One VCU runs two batch steps when a live step arrives already
+    // under its slack guard: both batch steps are preempted into the
+    // shed lot and the live step runs. Once it finishes nothing is
+    // queued or running, so no arrival or completion marks the end of
+    // the calm period; dispatch must still release the lot then and
+    // finish all three steps.
+    ClusterConfig cfg = crunchConfig(true);
+    cfg.vcus_per_host = 1;
+    ClusterSim sim(cfg);
+    sim.submit(batchStep(0, 300, {2560, 1440}));
+    sim.submit(batchStep(1, 300, {2560, 1440}));
+    sim.run(2.0, 1.0);
+    ASSERT_EQ(sim.conservation().in_flight, 2u);
+
+    sim.submit(liveStep(100, 5.0)); // Sim time is 2.0: slack < guard.
+    const auto m = sim.run(120.0, 1.0);
+
+    EXPECT_EQ(m.steps_preempted, 2u);
+    EXPECT_EQ(m.deadline_misses, 0u);
+    EXPECT_EQ(m.shed_remaining, 0u);
+    const ConservationSnapshot snap = sim.conservation();
+    EXPECT_TRUE(snap.holds());
+    EXPECT_EQ(snap.completed, 3u);
+    EXPECT_EQ(m.conservation_violations, 0u);
 }
 
 /**
