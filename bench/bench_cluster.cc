@@ -3,18 +3,16 @@
  * Cluster-simulation benchmark: runs a mid-size VCU cluster under the
  * paper's combined failure model (hard faults + silent faults + capped
  * host repair) with the observability layer on, and reports
- * utilization / retry / quarantine time-series, the step-conservation
- * ledger, and the overhead of the metrics layer itself (identical run
- * with observability off; the acceptance budget is <= 5%).
+ * utilization / retry / quarantine time-series and the
+ * step-conservation ledger. The observability overhead budget is
+ * measured and gated by bench_observability.
  *
  * Emits JSON on stdout (`bench/run_benches.sh` redirects it into
  * BENCH_cluster.json).
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <memory>
 #include <vector>
 
@@ -30,26 +28,9 @@ constexpr double kTickSeconds = 1.0;
 constexpr int kHosts = 4;
 constexpr int kVcusPerHost = 20;
 constexpr int kStepsPerTick = 40;
-constexpr int kReps = 15; //!< Overhead measurement pairs.
-constexpr double kOverheadBudgetPct = 5.0;
-
-/**
- * CPU seconds consumed by this process. The simulator is single-
- * threaded, so this equals the run's execution time — but unlike
- * wall clock it does not charge us for preemption by noisy
- * neighbors, which on a shared machine swamps a few-percent effect.
- */
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 ClusterConfig
-benchConfig(bool observability)
+benchConfig()
 {
     ClusterConfig cfg;
     cfg.hosts = kHosts;
@@ -60,9 +41,8 @@ benchConfig(bool observability)
     cfg.failure.host_fault_threshold = 3;
     cfg.failure.repair_cap = 2;
     cfg.failure.repair_seconds = 300.0;
-    cfg.observability = observability;
-    // The bench only reports the last ~100 events; a small ring keeps
-    // the trace's memory footprint out of the timing comparison.
+    // The bench reports no trace events; a small ring keeps the
+    // trace's memory footprint down.
     cfg.trace_capacity = 4096;
     return cfg;
 }
@@ -81,47 +61,6 @@ steadyArrivals()
         }
         return steps;
     };
-}
-
-double
-timedRun(bool observability)
-{
-    ClusterSim sim(benchConfig(observability));
-    const double t0 = cpuSeconds();
-    sim.run(kHorizonSeconds, kTickSeconds, steadyArrivals());
-    return cpuSeconds() - t0;
-}
-
-/**
- * Measure the observability overhead from kReps back-to-back pairs:
- * each pair times the identical scenario with the registry/trace on
- * and off, alternating which goes first. Shared machines make both
- * wall and CPU time sway by tens of percent (preemption, SMT
- * contention, frequency scaling), but a slowdown spanning one pair
- * scales both of its runs alike — so the per-pair RATIO stays
- * honest, and the median ratio across many short pairs shrugs off
- * bursts that straddle a pair boundary.
- */
-void
-measureOverhead(double *enabled_s, double *disabled_s,
-                double *overhead_pct)
-{
-    timedRun(true); // Warm-up: page cache, allocator, branch state.
-    *enabled_s = 1e30;
-    *disabled_s = 1e30;
-    std::vector<double> ratios;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const bool enabled_first = rep % 2 == 0;
-        const double a = timedRun(enabled_first);
-        const double b = timedRun(!enabled_first);
-        const double en = enabled_first ? a : b;
-        const double dis = enabled_first ? b : a;
-        *enabled_s = std::min(*enabled_s, en);
-        *disabled_s = std::min(*disabled_s, dis);
-        ratios.push_back(en / dis);
-    }
-    std::sort(ratios.begin(), ratios.end());
-    *overhead_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
 }
 
 /** Print a series as [[t, v], ...], thinned to at most 100 points so
@@ -148,17 +87,11 @@ int
 main()
 {
     // --- Instrumented run: metrics, traces, conservation. ----------
-    ClusterSim sim(benchConfig(true));
+    ClusterSim sim(benchConfig());
     const ClusterMetrics m =
         sim.run(kHorizonSeconds, kTickSeconds, steadyArrivals());
     const ConservationSnapshot snap = sim.conservation();
     const auto &reg = sim.metricsRegistry();
-
-    // --- Overhead: identical scenario, observability on vs off. ----
-    double enabled_s = 0.0;
-    double disabled_s = 0.0;
-    double overhead_pct = 0.0;
-    measureOverhead(&enabled_s, &disabled_s, &overhead_pct);
 
     std::printf("{\n");
     std::printf("  \"bench\": \"cluster\",\n");
@@ -213,19 +146,11 @@ main()
     printSeries(reg, "steps_retried", "steps_retried", false);
     printSeries(reg, "workers_quarantined", "workers_quarantined", false);
     printSeries(reg, "hosts_in_repair", "hosts_in_repair", true);
-    std::printf("  },\n");
-    std::printf("  \"overhead\": {\n");
-    std::printf("    \"enabled_cpu_ms\": %.3f,\n", enabled_s * 1e3);
-    std::printf("    \"disabled_cpu_ms\": %.3f,\n", disabled_s * 1e3);
-    std::printf("    \"overhead_pct\": %.2f,\n", overhead_pct);
-    std::printf("    \"budget_pct\": %.1f,\n", kOverheadBudgetPct);
-    std::printf("    \"within_budget\": %s\n",
-                overhead_pct <= kOverheadBudgetPct ? "true" : "false");
     std::printf("  }\n");
     std::printf("}\n");
 
-    // The bench doubles as a smoke check: a broken ledger or a blown
-    // overhead budget fails the run, not just the numbers.
+    // The bench doubles as a smoke check: a broken ledger fails the
+    // run, not just the numbers.
     if (!snap.holds() || m.conservation_violations != 0) {
         std::fprintf(stderr, "conservation violated\n");
         return 1;

@@ -3,18 +3,10 @@
  * Fleet-scale bench for the discrete-event cluster core: sweeps the
  * fleet from 4 hosts to 10,000 hosts (200k VCUs) under a trough-
  * utilization upload workload (~6% busy, ~20 s services, light fault
- * processes — the overnight valley where a scanning engine wastes
- * almost every cycle), and reports events/s, wall time, and resident
- * bytes per worker for the event engine, plus the tick engine's wall
- * time at every scale it can still afford. The headline number is
- * the tick-vs-event wall-time speedup at the largest scale both
- * engines run.
- *
- * The tick arm runs at the same dt as the event arm (0.25 s — the
- * fidelity both engines are asked to deliver); its cost scales as
- * O(hosts x vcus x ticks) regardless of activity, which is exactly
- * the scan the event core deletes, so it is capped at 2,000 hosts to
- * keep the bench under a minute.
+ * processes — the overnight valley where a scanning engine would
+ * waste almost every cycle), and reports events/s, wall time, and
+ * resident bytes per worker at each scale. `bench/run_benches.sh`
+ * gates the top scale's events/s against the committed file.
  *
  * Emits JSON on stdout (`bench/run_benches.sh` redirects it into
  * BENCH_fleet_scale.json).
@@ -39,8 +31,6 @@ constexpr double kTickSeconds = 0.25;
 constexpr int kVcusPerHost = 20;
 constexpr double kTargetUtilization = 0.06;
 constexpr double kServiceSeconds = 20.0; //!< 1200 frames / 30 fps / 2x.
-constexpr int kTickArmMaxHosts = 2000;
-constexpr double kSpeedupTarget = 20.0;
 constexpr int kObsArmHosts = 400;
 
 const int kSweepHosts[] = {4, 40, 400, 2000, 10000};
@@ -86,8 +76,7 @@ rssBytes()
  * Steady arrivals at a possibly fractional per-tick rate (a carry
  * accumulator spreads sub-1/tick rates evenly). Steps are 40 s video
  * chunks (1200 frames at 30 fps), i.e. ~20 s of service at the 2x
- * allocation speedup — long-lived work at low density, the regime
- * where per-tick scanning is pure waste.
+ * allocation speedup — long-lived work at low density.
  */
 ArrivalFn
 troughArrivals(double per_tick)
@@ -113,14 +102,13 @@ troughArrivals(double per_tick)
 }
 
 ClusterConfig
-fleetConfig(int hosts, SimEngine engine, bool observability)
+fleetConfig(int hosts, bool observability)
 {
     ClusterConfig cfg;
     cfg.hosts = hosts;
     cfg.vcus_per_host = kVcusPerHost;
-    cfg.engine = engine;
     cfg.seed = 4242;
-    // Light but non-zero fault processes: the event arms must pay for
+    // Light but non-zero fault processes: the arms must pay for
     // fault/repair handling, not just completions.
     cfg.vcu_hard_fault_per_hour = 0.01;
     cfg.vcu_silent_fault_per_hour = 0.02;
@@ -135,7 +123,6 @@ fleetConfig(int hosts, SimEngine engine, bool observability)
 
 struct ArmResult
 {
-    bool ran = false;
     ClusterMetrics m;
     bool conservation_holds = false;
     double wall_s = 0.0;
@@ -144,14 +131,14 @@ struct ArmResult
 };
 
 ArmResult
-runArm(int hosts, SimEngine engine, bool observability)
+runArm(int hosts, bool observability)
 {
     ArmResult r;
     const double per_tick = hosts * kVcusPerHost *
                             kTargetUtilization / kServiceSeconds *
                             kTickSeconds;
     const uint64_t rss0 = rssBytes();
-    ClusterSim sim(fleetConfig(hosts, engine, observability));
+    ClusterSim sim(fleetConfig(hosts, observability));
     const double w0 = wallSeconds();
     const double c0 = cpuSeconds();
     r.m = sim.run(kHorizonSeconds, kTickSeconds,
@@ -162,28 +149,22 @@ runArm(int hosts, SimEngine engine, bool observability)
     r.rss_delta = rss1 > rss0 ? rss1 - rss0 : 0;
     r.conservation_holds = sim.conservation().holds() &&
                            r.m.conservation_violations == 0;
-    r.ran = true;
     return r;
 }
 
 void
-printArm(const char *key, int hosts, const ArmResult &r, bool last)
+printArm(int hosts, const ArmResult &r)
 {
     const int vcus = hosts * kVcusPerHost;
-    std::printf("      \"%s\": {", key);
-    if (!r.ran) {
-        std::printf("\"ran\": false}%s\n", last ? "" : ",");
-        return;
-    }
     const double events_per_s =
         r.wall_s > 0.0 ? r.m.events_processed / r.wall_s : 0.0;
     std::printf(
-        "\"ran\": true, \"wall_s\": %.3f, \"cpu_s\": %.3f, "
+        "      \"event\": {\"wall_s\": %.3f, \"cpu_s\": %.3f, "
         "\"steps_submitted\": %llu, \"steps_completed\": %llu, "
         "\"steps_retried\": %llu, \"events_processed\": %llu, "
         "\"events_per_s\": %.0f, \"rss_delta_bytes\": %llu, "
         "\"rss_bytes_per_worker\": %.0f, "
-        "\"conservation_holds\": %s}%s\n",
+        "\"conservation_holds\": %s}\n",
         r.wall_s, r.cpu_s,
         static_cast<unsigned long long>(r.m.steps_submitted),
         static_cast<unsigned long long>(r.m.steps_completed),
@@ -192,7 +173,7 @@ printArm(const char *key, int hosts, const ArmResult &r, bool last)
         events_per_s,
         static_cast<unsigned long long>(r.rss_delta),
         static_cast<double>(r.rss_delta) / vcus,
-        r.conservation_holds ? "true" : "false", last ? "" : ",");
+        r.conservation_holds ? "true" : "false");
 }
 
 } // namespace
@@ -202,47 +183,28 @@ main()
 {
     bool all_hold = true;
 
-    // --- Scale sweep: event engine everywhere, tick where feasible.
+    // --- Scale sweep.
     const size_t n_scales =
         sizeof kSweepHosts / sizeof kSweepHosts[0];
-    std::vector<ArmResult> event_runs(n_scales);
-    std::vector<ArmResult> tick_runs(n_scales);
-    int largest_common = 0;
-    size_t largest_common_idx = 0;
+    std::vector<ArmResult> runs(n_scales);
     for (size_t i = 0; i < n_scales; ++i) {
         const int hosts = kSweepHosts[i];
-        std::fprintf(stderr, "fleet_scale: %d hosts (event) ...\n",
-                     hosts);
-        event_runs[i] = runArm(hosts, SimEngine::Event, false);
-        all_hold = all_hold && event_runs[i].conservation_holds;
-        if (hosts <= kTickArmMaxHosts) {
-            std::fprintf(stderr,
-                         "fleet_scale: %d hosts (tick) ...\n", hosts);
-            tick_runs[i] = runArm(hosts, SimEngine::Tick, false);
-            all_hold = all_hold && tick_runs[i].conservation_holds;
-            largest_common = hosts;
-            largest_common_idx = i;
-        }
+        std::fprintf(stderr, "fleet_scale: %d hosts ...\n", hosts);
+        runs[i] = runArm(hosts, false);
+        all_hold = all_hold && runs[i].conservation_holds;
     }
 
-    // --- Telemetry gating arm: same event scenario, observability
-    // on vs off. Off must process strictly fewer events (no SloEval /
+    // --- Telemetry gating arm: same scenario, observability on vs
+    // off. Off must process strictly fewer events (no SloEval /
     // publish chain) with identical step outcomes.
     std::fprintf(stderr, "fleet_scale: observability arm ...\n");
-    const ArmResult obs_off = runArm(kObsArmHosts, SimEngine::Event,
-                                     false);
-    const ArmResult obs_on = runArm(kObsArmHosts, SimEngine::Event,
-                                    true);
+    const ArmResult obs_off = runArm(kObsArmHosts, false);
+    const ArmResult obs_on = runArm(kObsArmHosts, true);
     all_hold = all_hold && obs_off.conservation_holds &&
                obs_on.conservation_holds;
     const bool gating_ok =
         obs_off.m.events_processed < obs_on.m.events_processed &&
         obs_off.m.steps_completed == obs_on.m.steps_completed;
-
-    const double tick_wall = tick_runs[largest_common_idx].wall_s;
-    const double event_wall = event_runs[largest_common_idx].wall_s;
-    const double speedup =
-        event_wall > 0.0 ? tick_wall / event_wall : 0.0;
 
     std::printf("{\n");
     std::printf("  \"bench\": \"fleet_scale\",\n");
@@ -250,29 +212,18 @@ main()
         "  \"scenario\": {\"vcus_per_host\": %d, \"horizon_s\": %.0f, "
         "\"tick_s\": %.2f, \"target_utilization\": %.2f, "
         "\"service_s\": %.0f, \"hard_faults_per_hour\": 0.01, "
-        "\"silent_faults_per_hour\": 0.02, "
-        "\"tick_arm_max_hosts\": %d},\n",
+        "\"silent_faults_per_hour\": 0.02},\n",
         kVcusPerHost, kHorizonSeconds, kTickSeconds,
-        kTargetUtilization, kServiceSeconds, kTickArmMaxHosts);
+        kTargetUtilization, kServiceSeconds);
     std::printf("  \"sweep\": [\n");
     for (size_t i = 0; i < n_scales; ++i) {
         const int hosts = kSweepHosts[i];
         std::printf("    {\"hosts\": %d, \"vcus\": %d,\n", hosts,
                     hosts * kVcusPerHost);
-        printArm("event", hosts, event_runs[i], false);
-        printArm("tick", hosts, tick_runs[i], true);
+        printArm(hosts, runs[i]);
         std::printf("    }%s\n", i + 1 < n_scales ? "," : "");
     }
     std::printf("  ],\n");
-    std::printf("  \"speedup\": {\n");
-    std::printf("    \"at_hosts\": %d,\n", largest_common);
-    std::printf("    \"tick_wall_s\": %.3f,\n", tick_wall);
-    std::printf("    \"event_wall_s\": %.3f,\n", event_wall);
-    std::printf("    \"speedup_x\": %.1f,\n", speedup);
-    std::printf("    \"target_x\": %.1f,\n", kSpeedupTarget);
-    std::printf("    \"meets_target\": %s\n",
-                speedup >= kSpeedupTarget ? "true" : "false");
-    std::printf("  },\n");
     std::printf("  \"observability_gating\": {\n");
     std::printf("    \"hosts\": %d,\n", kObsArmHosts);
     std::printf("    \"events_obs_off\": %llu,\n",

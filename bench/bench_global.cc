@@ -36,7 +36,6 @@
 using namespace wsva::global;
 using wsva::cluster::ClusterSim;
 using wsva::cluster::ConservationSnapshot;
-using wsva::cluster::SimEngine;
 
 namespace {
 
@@ -84,7 +83,6 @@ routerConfig(bool gating)
 
     cfg.cluster.hosts = kHostsPerRegion;
     cfg.cluster.vcus_per_host = kVcusPerHost;
-    cfg.cluster.engine = SimEngine::Event;
     cfg.cluster.seed = 77;
     // The black-hole failure shape: corruption is always detected
     // (every bad completion retries), and nothing self-heals — no

@@ -157,7 +157,6 @@ runArm(bool surge, bool shed)
     ClusterConfig cfg;
     cfg.hosts = kHosts;
     cfg.vcus_per_host = kVcusPerHost;
-    cfg.engine = SimEngine::Event;
     cfg.seed = 99;
     cfg.deadline.shed_enabled = shed;
     // Proactive guard: a 5 s deadline with ~1 s of service leaves

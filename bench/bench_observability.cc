@@ -46,7 +46,12 @@ constexpr int kReps = 21; //!< Overhead measurement pairs.
 constexpr double kOverheadBudgetPct = 5.0;
 constexpr uint32_t kSpanSamplePeriod = 16; //!< Trace every Nth upload.
 
-/** CPU seconds consumed by this process (see bench_cluster). */
+/**
+ * CPU seconds consumed by this process. The sim thread does the work,
+ * so this tracks the run's execution time, but unlike wall clock it
+ * does not charge for preemption by noisy neighbors, which on a
+ * shared machine swamps a few-percent effect.
+ */
 double
 cpuSeconds()
 {
@@ -151,9 +156,9 @@ profiledRun(bool profiler_on)
 
 /**
  * Median per-pair CPU-time ratio across kReps alternating-order
- * pairs (the bench_cluster methodology: a noisy-neighbor slowdown
- * spanning one pair scales both of its runs alike, so the ratio
- * stays honest even when absolute times sway). Each arm of a pair is
+ * pairs (a noisy-neighbor slowdown spanning one pair scales both of
+ * its runs alike, so the ratio stays honest even when absolute times
+ * sway). Each arm of a pair is
  * the min of two back-to-back runs: interference (hypervisor steal,
  * cache pollution from neighbors) only ever *adds* CPU time, so the
  * min is the standard one-sided-noise rejector — without it a single

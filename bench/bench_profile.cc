@@ -98,7 +98,6 @@ fleetConfig(int hosts)
     ClusterConfig cfg;
     cfg.hosts = hosts;
     cfg.vcus_per_host = kVcusPerHost;
-    cfg.engine = SimEngine::Event;
     cfg.seed = 4242;
     cfg.vcu_hard_fault_per_hour = 0.01;
     cfg.vcu_silent_fault_per_hour = 0.02;

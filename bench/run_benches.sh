@@ -49,14 +49,15 @@ echo "Wrote $repo_root/BENCH_observability.json" >&2
 # bench_fleet_scale exits non-zero on a conservation or telemetry-
 # gating failure; on success its JSON is schema-checked before the
 # file is accepted (the fleet-scale claims — 200k VCUs, >= 1M steps,
-# >= 20x tick-vs-event speedup — are load-bearing numbers), and the
-# top-scale event-engine throughput is gated against the previous
-# committed file: a >10% events/s drop fails the run. The committed
-# baseline runs profiler-dark, so this gate is also the "dark mode
-# costs ~nothing" regression check for the profiling layer. The
-# baseline is committed in-tree, so its absence means a broken
-# checkout — fail loudly rather than silently skipping the gate.
-echo "Running bench_fleet_scale (tick arms take ~1 min) ..." >&2
+# a measured RSS per worker — are load-bearing numbers), and the
+# top-scale throughput is gated against the previous committed file:
+# a >10% events/s drop fails the run. Together these are the absolute
+# gate on the event engine. The committed baseline runs
+# profiler-dark, so this gate is also the "dark mode costs ~nothing"
+# regression check for the profiling layer. The baseline is committed
+# in-tree, so its absence means a broken checkout — fail loudly
+# rather than silently skipping the gate.
+echo "Running bench_fleet_scale ..." >&2
 prev_fleet_eps=""
 if command -v python3 >/dev/null; then
     if [ ! -f "$repo_root/BENCH_fleet_scale.json" ]; then
@@ -85,14 +86,13 @@ if command -v python3 >/dev/null; then
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["bench"] == "fleet_scale"
-for key in ("scenario", "sweep", "speedup", "observability_gating"):
+for key in ("scenario", "sweep", "observability_gating"):
     assert key in doc, f"missing key: {key}"
 top = max(doc["sweep"], key=lambda s: s["hosts"])
 assert top["vcus"] >= 200000, "top scale below 200k VCUs"
 assert top["event"]["steps_submitted"] >= 1000000, "below 1M steps"
 assert top["event"]["events_per_s"] > 0
 assert top["event"]["rss_bytes_per_worker"] > 0
-assert doc["speedup"]["meets_target"], "tick-vs-event speedup < 20x"
 assert doc["conservation_holds_all_arms"] is True
 prev = sys.argv[2] if len(sys.argv) > 2 else ""
 if prev:
@@ -106,7 +106,8 @@ EOF
         exit 1
     fi
 else
-    grep -q '"meets_target": true' "$repo_root/BENCH_fleet_scale.json" \
+    grep -q '"conservation_holds_all_arms": true' \
+        "$repo_root/BENCH_fleet_scale.json" \
         || { echo "BENCH_fleet_scale.json failed schema check" >&2; exit 1; }
 fi
 echo "Wrote $repo_root/BENCH_fleet_scale.json" >&2

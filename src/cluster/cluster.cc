@@ -1,7 +1,6 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/build_info.h"
 #include "common/debug_server.h"
@@ -15,13 +14,9 @@ namespace {
 /** Interned-once phase ids for the cluster-side profiling scopes
  *  (DESIGN.md section 13 has the taxonomy). */
 struct ClusterPhases {
-    int run;
     int dispatch;
     int dispatch_index;
     int audit;
-    int collect;
-    int faults;
-    int repairs;
     int publish;
 };
 
@@ -29,16 +24,30 @@ const ClusterPhases &
 clusterPhases()
 {
     static const ClusterPhases p{
-        prof::phaseId("cluster/run"),
         prof::phaseId("cluster/dispatch"),
         prof::phaseId("cluster/dispatch/index"),
         prof::phaseId("cluster/audit"),
-        prof::phaseId("cluster/collect"),
-        prof::phaseId("cluster/faults"),
-        prof::phaseId("cluster/repairs"),
         prof::phaseId("cluster/publish"),
     };
     return p;
+}
+
+/** Interned ids of the dimensions the utilization samples read. */
+struct UtilDims {
+    uint16_t enc;
+    uint16_t dec;
+    uint16_t host_cpu;
+};
+
+const UtilDims &
+utilDims()
+{
+    static const UtilDims d{
+        resourceDimId(kResEncodeMillicores),
+        resourceDimId(kResDecodeMillicores),
+        resourceDimId(kResHostCpuMillicores),
+    };
+    return d;
 }
 
 /** retries / (completions + retries); 0 when nothing happened yet. */
@@ -189,58 +198,15 @@ ClusterSim::hostOfGid(int gid)
 }
 
 void
-ClusterSim::injectFaults(double now, double dt)
-{
-    const double hours = dt / 3600.0;
-    const double p_hard =
-        1.0 - std::exp(-cfg_.vcu_hard_fault_per_hour * hours);
-    const double p_silent =
-        1.0 - std::exp(-cfg_.vcu_silent_fault_per_hour * hours);
-    for (auto &host : hosts_) {
-        if (host.in_repair)
-            continue;
-        for (size_t v = 0; v < host.vcu_health.size(); ++v) {
-            VcuHealth &health = host.vcu_health[v];
-            if (health.disabled)
-                continue;
-            const int vcu_gid =
-                host.id * cfg_.vcus_per_host + static_cast<int>(v);
-            if (p_hard > 0 && rng_.bernoulli(p_hard)) {
-                // Timestamp the fault so completion collection can
-                // tell work that finished before the device died
-                // from work the fault actually cut short.
-                health.markFaulted(now);
-                ++host.fault_count;
-                ++metrics_.vcus_disabled;
-                registry_.inc("cluster.vcus_disabled");
-                trace_.record(TraceEventType::FaultInjected, now,
-                              host.id, vcu_gid);
-                scheduler_->refresh(*host.workers[v]);
-            }
-            if (!health.silent_fault && p_silent > 0 &&
-                rng_.bernoulli(p_silent)) {
-                health.silent_fault = true;
-                health.speed_factor = cfg_.silent_speed_factor;
-                registry_.inc("cluster.silent_faults");
-                trace_.record(TraceEventType::SilentFaultInjected, now,
-                              host.id, vcu_gid);
-            }
-        }
-    }
-}
-
-void
 ClusterSim::maybeEnterRepair(HostModel &host, double now)
 {
     if (host.in_repair ||
         host.fault_count < cfg_.failure.host_fault_threshold)
         return;
     if (!repairs_.tryEnter(host.id, now)) {
-        // Repair cap reached. The tick engine retries on its next
-        // host rescan; the event engine waitlists the host and
-        // retries when a repair slot frees up (RepairDone).
-        if (ev_ != nullptr &&
-            ev_->repair_waitlisted[static_cast<size_t>(host.id)] == 0) {
+        // Repair cap reached: waitlist the host and retry when a
+        // repair slot frees up (RepairDone).
+        if (ev_->repair_waitlisted[static_cast<size_t>(host.id)] == 0) {
             ev_->repair_waitlisted[static_cast<size_t>(host.id)] = 1;
             ev_->repair_waiting.push_back(host.id);
         }
@@ -252,14 +218,7 @@ ClusterSim::maybeEnterRepair(HostModel &host, double now)
     for (size_t v = 0; v < host.vcu_health.size(); ++v) {
         host.vcu_health[v].markFaulted(now);
         Worker *w = host.workers[v].get();
-        if (ev_ != nullptr) {
-            EventQueue::Handle &h =
-                ev_->completion_ev[static_cast<size_t>(w->id())];
-            if (h != EventQueue::kInvalidHandle) {
-                ev_->queue.cancel(h);
-                h = EventQueue::kInvalidHandle;
-            }
-        }
+        cancelCompletionEvent(w->id());
         auto aborted = w->abortAll();
         in_flight_count_ -= aborted.size();
         for (auto &step : aborted) {
@@ -272,11 +231,9 @@ ClusterSim::maybeEnterRepair(HostModel &host, double now)
         }
         scheduler_->refresh(*w);
     }
-    if (ev_ != nullptr) {
-        ev_->queue.schedule(repairs_.completionTime(host.id),
-                            SimEventType::RepairDone, host.id);
-        ev_->work_added = true; // Aborted steps re-queued as retries.
-    }
+    ev_->queue.schedule(repairs_.completionTime(host.id),
+                        SimEventType::RepairDone, host.id);
+    ev_->work_added = true; // Aborted steps re-queued as retries.
 }
 
 void
@@ -313,22 +270,11 @@ ClusterSim::restoreHost(HostModel &host, double now)
 }
 
 void
-ClusterSim::manageRepairs(double now)
-{
-    // Hosts over the fault threshold go to repair (capped).
-    for (auto &host : hosts_)
-        maybeEnterRepair(host, now);
-    for (int host_id : repairs_.collectRepaired(now))
-        restoreHost(hosts_[static_cast<size_t>(host_id)], now);
-}
-
-void
 ClusterSim::processOutcome(HostModel &host, Worker *w,
                            const StepOutcome &outcome, double now)
 {
-    // Both engines run every collected step through this; the
-    // operation and RNG-draw order here is the shared contract that
-    // keeps fault-free runs bit-identical between them.
+    // The operation and RNG-draw order here is part of the seeded
+    // ledger the golden-ledger test pins.
     const int vcu_gid = w->id();
     const auto retryStep = [&](const TranscodeStep &step) {
         ++metrics_.steps_retried;
@@ -456,15 +402,6 @@ ClusterSim::collectWorker(HostModel &host, Worker *w, double now)
 }
 
 void
-ClusterSim::collectCompletions(double now)
-{
-    for (auto &host : hosts_) {
-        for (size_t v = 0; v < host.workers.size(); ++v)
-            collectWorker(host, host.workers[v].get(), now);
-    }
-}
-
-void
 ClusterSim::scheduleBacklog(double now)
 {
     // Head-of-line scheduling against the availability cache; stop
@@ -564,8 +501,7 @@ ClusterSim::scheduleBacklog(double now)
             scheduler_->reservationFor(need);
         w->assign(step, reservation, now, service);
         ++in_flight_count_;
-        if (ev_ != nullptr)
-            updateCompletionEvent(w);
+        updateCompletionEvent(w);
         // Remember where batch work landed so a future shed can find
         // a preemption victim without scanning the fleet.
         if (step.priority == Priority::Batch &&
@@ -649,8 +585,7 @@ ClusterSim::shedForDeadline(const TranscodeStep &step,
         // preemptBatch released capacity and (via the availability
         // listener) updated the scheduler index; the worker's single
         // completion event must follow its new earliest finish.
-        if (ev_ != nullptr)
-            updateCompletionEvent(w);
+        updateCompletionEvent(w);
         return w;
     }
     return nullptr;
@@ -680,9 +615,9 @@ size_t
 ClusterSim::inFlightSteps() const
 {
     // Maintained incrementally at every assign/collect/abort, so the
-    // per-tick (or per-event-batch) conservation audit and the fleet
-    // rollup are O(1) instead of a fleet-wide scan. Debug builds
-    // cross-check against the scan in checkConservation().
+    // per-event-batch conservation audit and the fleet rollup are
+    // O(1) instead of a fleet-wide scan. Debug builds cross-check
+    // against the scan in checkConservation().
     return static_cast<size_t>(in_flight_count_);
 }
 
@@ -802,9 +737,9 @@ ClusterSim::sampleTick(double now)
             if (host.vcu_health[v].disabled)
                 continue;
             const Worker *w = host.workers[v].get();
-            enc += w->dimensionUtilization(kResEncodeMillicores);
-            dec += w->dimensionUtilization(kResDecodeMillicores);
-            cpu += w->dimensionUtilization(kResHostCpuMillicores);
+            enc += w->dimensionUtilization(utilDims().enc);
+            dec += w->dimensionUtilization(utilDims().dec);
+            cpu += w->dimensionUtilization(utilDims().host_cpu);
             ++n;
         }
     }
@@ -862,59 +797,6 @@ ClusterSim::publishRollup(double now)
         if (profiler.enabled())
             profiler.exportGauges(registry_);
     }
-}
-
-ClusterMetrics
-ClusterSim::run(double duration, double dt, const ArrivalFn &arrivals)
-{
-    WSVA_ASSERT(duration > 0 && dt > 0, "bad run parameters");
-    prof::ProfScope prof_run(clusterPhases().run);
-    metrics_ = ClusterMetrics{};
-    enc_util_samples_.reset();
-    dec_util_samples_.reset();
-    cpu_util_samples_.reset();
-    if (cfg_.engine == SimEngine::Event)
-        return runEvents(duration, dt, arrivals);
-    return runTicks(duration, dt, arrivals);
-}
-
-ClusterMetrics
-ClusterSim::runTicks(double duration, double dt,
-                     const ArrivalFn &arrivals)
-{
-    const double start = clock_;
-    double now = clock_;
-    while (now < start + duration) {
-        now += dt;
-        clock_ = now;
-        if (arrivals)
-            pullArrivals(arrivals, now, dt);
-        {
-            prof::ProfScope prof_faults(clusterPhases().faults);
-            injectFaults(now, dt);
-        }
-        {
-            prof::ProfScope prof_repairs(clusterPhases().repairs);
-            manageRepairs(now);
-        }
-        {
-            prof::ProfScope prof_collect(clusterPhases().collect);
-            collectCompletions(now);
-        }
-        scheduleBacklog(now);
-        checkConservation(now);
-        sampleTick(now);
-        slo_.onTick(now);
-        ++ticks_;
-        if (cfg_.observability && cfg_.fleet_publish_every_ticks > 0 &&
-            ticks_ % cfg_.fleet_publish_every_ticks == 0)
-            publishRollup(now);
-    }
-
-    // Final drain of completions right at the horizon.
-    collectCompletions(now);
-    checkConservation(now);
-    return finishRun(start, now);
 }
 
 ClusterMetrics
@@ -983,7 +865,7 @@ ClusterSim::buildFleetHealth(double now) const
                                            w->refused(),
                                            health.disabled,
                                            health.silent_fault));
-            util += w->dimensionUtilization(kResEncodeMillicores);
+            util += w->dimensionUtilization(utilDims().enc);
         }
         if (!host.workers.empty())
             node.encoder_utilization =

@@ -38,21 +38,14 @@ class DebugServer;
 namespace wsva::cluster {
 
 /**
- * Run-loop engine. Tick scans every host and VCU once per dt —
- * simple, and the reference semantics — but costs
- * O(hosts x vcus_per_host) per tick whether anything happened or
- * not, which caps fleets at a few hundred hosts. Event replaces the
- * scan with a discrete-event core: an indexed min-heap of step
- * completions, fault arrivals, repair completions, arrival batches
- * and telemetry publishes, with worker state advanced lazily when an
- * event touches it. Per-event cost is O(log E); a quiet fleet costs
- * nothing. Fault-free runs produce identical ledgers in both
- * engines; with faults the engines draw from the same distributions
- * on different schedules (see DESIGN.md section 9).
+ * Run-loop engine. The discrete-event core is the only one; this enum
+ * and ClusterConfig::engine survive only because the end-to-end
+ * benchmark sources (e2ebench/src/fleet_global.cc and
+ * cluster_observed.cc) still name them. Both go with the next change
+ * to the benchmark.
  */
 enum class SimEngine
 {
-    Tick = 0,
     Event = 1,
 };
 
@@ -62,8 +55,8 @@ struct ClusterConfig
     int hosts = 4;
     int vcus_per_host = 20;
 
-    /** Run-loop engine (Tick = reference semantics, Event = scale). */
-    SimEngine engine = SimEngine::Tick;
+    /** Run-loop engine; Event is the only one (see SimEngine). */
+    SimEngine engine = SimEngine::Event;
 
     ResourceMappingPolicy mapping;
 
@@ -97,8 +90,9 @@ struct ClusterConfig
     /**
      * Enable the metrics registry and trace log. Off, every record
      * call reduces to an atomic load, which is what the overhead
-     * comparison in bench_cluster measures. The step-conservation
-     * checker runs regardless (it is an invariant, not a metric).
+     * comparison in bench_observability measures. The
+     * step-conservation checker runs regardless (it is an invariant,
+     * not a metric).
      */
     bool observability = true;
 
@@ -195,9 +189,10 @@ struct ClusterConfig
     int hosts_per_rack = 2;
 
     /**
-     * Publish a fleet-health rollup snapshot every N ticks (0 = off).
+     * Publish a fleet-health rollup snapshot, and sample the
+     * utilization and queue series, every N ticks of dt (0 = off).
      * The rollup is double-buffered, so /statusz scrapes never block
-     * the sim tick; gated by `observability` like the registry. The
+     * the sim; gated by `observability` like the registry. The
      * default matches SloConfig::gauge_every_ticks (and the usual
      * Prometheus scrape interval at 1 s ticks), so the rollup reuses
      * the windowed-p99 materialization the gauge path already paid
@@ -225,12 +220,17 @@ struct ClusterMetrics
     /** Good output throughput per *provisioned* VCU, Mpix/s. */
     double mpix_per_vcu = 0.0;
 
-    /** Time-weighted average utilizations across active workers. */
+    /**
+     * Mean utilizations across active workers, sampled at every
+     * fleet-health publish. They read 0 when observability or
+     * publishing is off, because nothing samples them then.
+     */
     double encoder_utilization = 0.0;
     double decoder_utilization = 0.0;
     double host_cpu_utilization = 0.0;
 
     uint64_t sched_placed = 0;
+    /** Blocked placements, counted once per dispatch pass. */
     uint64_t sched_rejected = 0;
     size_t backlog_remaining = 0;
 
@@ -258,12 +258,12 @@ struct ClusterMetrics
     int vcus_disabled = 0;
     int workers_quarantined = 0;
 
-    /** Step-conservation invariant audits (one per tick, or one per
-     *  event batch under SimEngine::Event). */
+    /** Step-conservation invariant audits, one per batch of events
+     *  sharing a timestamp. */
     uint64_t conservation_checks = 0;
     uint64_t conservation_violations = 0;
 
-    /** Events popped by the event engine (0 under SimEngine::Tick). */
+    /** Events popped off the event queue during this run() call. */
     uint64_t events_processed = 0;
 };
 
@@ -277,7 +277,10 @@ struct HostModel
     std::vector<std::unique_ptr<Worker>> workers;
 };
 
-/** Arrival callback: steps arriving in (now - dt, now]. */
+/**
+ * Arrival callback: steps arriving in (now - dt, now]. run() calls it
+ * once per dt, at start + dt, start + 2dt, ... through the horizon.
+ */
 using ArrivalFn =
     std::function<std::vector<TranscodeStep>(double now, double dt)>;
 
@@ -287,7 +290,7 @@ using ArrivalFn =
  * one bucket: terminally done, running on a worker, queued, or
  * terminally failed. Failure paths in this simulator retry, so a
  * retried step simply moves back to the backlog bucket; nothing may
- * vanish. holds() is the invariant asserted every tick.
+ * vanish. holds() is the invariant audited after every event batch.
  */
 struct ConservationSnapshot
 {
@@ -332,8 +335,10 @@ class ClusterSim
     void submit(const TranscodeStep &step);
 
     /**
-     * Run for @p duration simulated seconds with tick @p dt, pulling
-     * arrivals from @p arrivals (may be null).
+     * Run for @p duration simulated seconds, pulling arrivals from
+     * @p arrivals (may be null) every @p dt. dt is also the SLO and
+     * telemetry cadence; the clock ends on the first multiple of dt
+     * at or past the duration.
      */
     ClusterMetrics run(double duration, double dt,
                        const ArrivalFn &arrivals = nullptr);
@@ -383,7 +388,7 @@ class ClusterSim
                            const std::string &build_info = "wsva "
                                                            "cluster");
 
-    /** Current step ledger (valid between ticks and after run()). */
+    /** Current step ledger (valid between run() calls). */
     ConservationSnapshot conservation() const;
 
     /** Steps currently running across all workers. */
@@ -433,18 +438,16 @@ class ClusterSim
     std::string exportJson(size_t max_trace_events = 256) const;
 
   private:
-    // ---- Shared between both engines ----------------------------
-    /** Per-outcome bookkeeping (retry/corrupt/complete paths). The
-     *  operation and RNG-draw order is the contract both engines
-     *  share; collectWorker() drives it for every collected step. */
+    /** Per-outcome bookkeeping (retry/corrupt/complete paths);
+     *  collectWorker() drives it for every collected step. */
     void processOutcome(HostModel &host, Worker *w,
                         const StepOutcome &outcome, double now);
     /** Collect finished (or failed) steps off one worker and run
      *  processOutcome on each, keeping the in-flight counter. */
     void collectWorker(HostModel &host, Worker *w, double now);
     /** Threshold check + capped repair entry + host drain. Schedules
-     *  the RepairDone event / waitlists the host under the event
-     *  engine. */
+     *  the RepairDone event, or waitlists the host while the repair
+     *  cap is full. */
     void maybeEnterRepair(HostModel &host, double now);
     /** Repair finished: reset health, close lifecycle spans. */
     void restoreHost(HostModel &host, double now);
@@ -452,15 +455,9 @@ class ClusterSim
     void pullArrivals(const ArrivalFn &arrivals, double now, double dt);
     /** Publish a fleet-health rollup (caller gates on cadence). */
     void publishRollup(double now);
-    /** Shared run() epilogue: final publish + metrics_ fill-in. */
+    /** run() epilogue: final publish + metrics_ fill-in. */
     ClusterMetrics finishRun(double start, double now);
-
-    // ---- Tick engine --------------------------------------------
-    ClusterMetrics runTicks(double duration, double dt,
-                            const ArrivalFn &arrivals);
-    void injectFaults(double now, double dt);
-    void manageRepairs(double now);
-    void collectCompletions(double now);
+    /** One backlog-dispatch pass at @p now. */
     void scheduleBacklog(double now);
     /** Load shedding for a blocked live step: park queued batch work
      *  and (policy permitting) preempt running batch steps until
@@ -472,11 +469,11 @@ class ClusterSim
      *  passed (EDF lane empty + release_after_seconds of calm). */
     void maybeUnpark(double now);
     void checkConservation(double now);
+    /** Sample the utilization and queue series (publish cadence). */
     void sampleTick(double now);
 
-    // ---- Event engine (cluster_events.cc) -----------------------
-    ClusterMetrics runEvents(double duration, double dt,
-                             const ArrivalFn &arrivals);
+    // ---- Event handlers (cluster_events.cc) ---------------------
+    void handleEvent(const EventQueue::Event &e);
     /** Schedule the next ArrivalBatch (one is pending at a time). */
     void scheduleArrivalBatch(double when);
     void handleArrivalBatch(const ArrivalFn &arrivals, double now);
@@ -488,6 +485,8 @@ class ClusterSim
     /** (Re)schedule the worker's single completion event to match
      *  its earliest running finish time; cancels a stale one. */
     void updateCompletionEvent(Worker *w);
+    /** Cancel worker @p gid's pending completion event, if any. */
+    void cancelCompletionEvent(int gid);
 
     void trackUpload(const TranscodeStep &step, double now);
     /** Whether this step id is head-sampled for span tracing. */
@@ -525,7 +524,7 @@ class ClusterSim
     wsva::Tracer *tracer_ = nullptr; //!< cfg_.tracer or &own_tracer_.
     SloMonitor slo_;
     FleetHealthBoard fleet_;
-    uint64_t ticks_ = 0; //!< Lifetime tick count (rollup cadence).
+    uint64_t ticks_ = 0; //!< Lifetime count of dt steps (cadences).
 
     // Lifetime per-host retry/completion counts feeding the rollup's
     // per-level retry rates (indexed by host id).
@@ -538,7 +537,7 @@ class ClusterSim
     std::vector<double> quarantine_enter_;
 
     // Pre-resolved handles for the per-step counters (hot paths run
-    // once per step per tick; handles skip the name lookup).
+    // once per step; handles skip the name lookup).
     wsva::CounterHandle submitted_counter_;
     wsva::CounterHandle completed_counter_;
     wsva::CounterHandle retried_counter_;
@@ -560,9 +559,8 @@ class ClusterSim
     // check it against the full scan (small fleets only).
     uint64_t in_flight_count_ = 0;
 
-    /** Live state of one runEvents() call (stack-owned there; ev_
-     *  points at it so shared helpers know the event engine is
-     *  driving and can schedule/cancel events). */
+    /** Live state of one run() call (stack-owned there; ev_ points
+     *  at it so the helpers can schedule and cancel events). */
     struct EventRun
     {
         EventQueue queue;
@@ -579,7 +577,7 @@ class ClusterSim
         bool work_added = false;       //!< Backlog dispatch needed.
         bool capacity_changed = false; //!< A worker freed capacity.
     };
-    EventRun *ev_ = nullptr; //!< Non-null only inside runEvents().
+    EventRun *ev_ = nullptr; //!< Non-null only inside run().
 
     // Time-weighted utilization accumulators.
     wsva::RunningStat enc_util_samples_;

@@ -1,17 +1,17 @@
 /**
  * @file
- * Discrete-event run loop for ClusterSim (SimEngine::Event).
+ * The discrete-event run loop of ClusterSim.
  *
- * The tick engine scans every host and VCU once per dt; this engine
- * touches a worker only when an event lands on it. Five event kinds
+ * A worker is touched only when an event lands on it, so a quiet
+ * fleet costs nothing and each event costs O(log E). Five event kinds
  * drive the fleet (DESIGN.md section 9):
  *
  *  - ArrivalBatch: pull one dt's worth of arrivals, then reschedule.
- *    Times accumulate exactly like the tick loop's `now += dt`, so
- *    fault-free runs land on identical timestamps. Without an arrival
- *    function the chain runs only while a deadline step or a shed lot
- *    is queued, so dispatch notices slack running out and the lot's
- *    release coming due.
+ *    Times accumulate by repeated addition of dt, the same way the
+ *    run horizon does, so the last batch lands exactly on it. Without
+ *    an arrival function the chain runs only while a deadline step or
+ *    a shed lot is queued, so dispatch notices slack running out and
+ *    the lot's release coming due.
  *  - HardFault / SilentFault: one fleet-level Poisson process per
  *    kind at rate (per-VCU rate x total VCUs), with a uniformly
  *    drawn victim discarded when it is not an active VCU. Thinning a
@@ -19,26 +19,25 @@
  *    independent exponential clock per active VCU.
  *  - RepairDone: scheduled at the repair queue's completion time
  *    when a host enters repair; cap-deferred hosts sit on a waitlist
- *    drained here instead of being rescanned every tick.
+ *    drained here.
  *  - WorkerDone: each worker keys at most one pending event to its
  *    earliest running finish time; assignments and aborts cancel or
  *    reschedule it (lazy state advancement).
  *  - SloEval: per-dt bookkeeping (SLO window accounting, fleet-
  *    health publish cadence), scheduled only when the SLO monitor or
  *    observability actually consumes it — an unobserved quiet fleet
- *    processes zero events per tick.
+ *    processes zero events per dt.
  *
  * Events at one timestamp are processed as a batch (the queue's type
- * tie-break reproduces the tick engine's phase order), then a single
- * backlog-dispatch pass runs if any event added work or freed
- * capacity, then the step-conservation ledger is audited.
+ * tie-break fixes their order), then a single backlog-dispatch pass
+ * runs if any event added work or freed capacity, then the
+ * step-conservation ledger is audited.
  */
 
 #include "cluster/cluster.h"
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/profiler.h"
@@ -47,6 +46,7 @@ namespace {
 
 /** Interned phase id per SimEventType, indexed by the enum value. */
 struct EventPhases {
+    int run;
     int ids[7];
     int byType(size_t type) const
     {
@@ -58,21 +58,34 @@ const EventPhases &
 eventPhases()
 {
     using wsva::prof::phaseId;
-    static const EventPhases p{{
-        phaseId("event/arrival_batch"),
-        phaseId("event/hard_fault"),
-        phaseId("event/silent_fault"),
-        phaseId("event/repair_done"),
-        phaseId("event/worker_done"),
-        phaseId("event/slo_eval"),
-        phaseId("event/publish"),
-    }};
+    static const EventPhases p{
+        phaseId("cluster/run"),
+        {
+            phaseId("event/arrival_batch"),
+            phaseId("event/hard_fault"),
+            phaseId("event/silent_fault"),
+            phaseId("event/repair_done"),
+            phaseId("event/worker_done"),
+            phaseId("event/slo_eval"),
+            phaseId("event/publish"),
+        }};
     return p;
 }
 
 } // namespace
 
 namespace wsva::cluster {
+
+void
+ClusterSim::cancelCompletionEvent(int gid)
+{
+    EventQueue::Handle &h =
+        ev_->completion_ev[static_cast<size_t>(gid)];
+    if (h != EventQueue::kInvalidHandle) {
+        ev_->queue.cancel(h);
+        h = EventQueue::kInvalidHandle;
+    }
+}
 
 void
 ClusterSim::updateCompletionEvent(Worker *w)
@@ -105,8 +118,7 @@ ClusterSim::handleArrivalBatch(const ArrivalFn &arrivals, double now)
     if (arrivals)
         pullArrivals(arrivals, now, ev_->dt);
     // Dispatch even on an empty batch: the first batch also covers
-    // work submitted before run() (the tick engine's first tick
-    // schedules that backlog at the same time).
+    // work submitted before run().
     ev_->work_added = true;
     if (arrivals && now < ev_->end)
         scheduleArrivalBatch(now + ev_->dt);
@@ -131,15 +143,9 @@ ClusterSim::handleHardFault(double now)
     registry_.inc("cluster.vcus_disabled");
     trace_.record(TraceEventType::FaultInjected, now, host.id, gid);
     scheduler_->refresh(*w);
-    // The tick engine fails a dead worker's in-flight steps in the
-    // same tick's collect phase; do it now, under the same outcome
-    // bookkeeping.
-    EventQueue::Handle &h =
-        ev_->completion_ev[static_cast<size_t>(gid)];
-    if (h != EventQueue::kInvalidHandle) {
-        ev_->queue.cancel(h);
-        h = EventQueue::kInvalidHandle;
-    }
+    // The dead worker's in-flight steps fail now, under the same
+    // outcome bookkeeping as a completion.
+    cancelCompletionEvent(gid);
     collectWorker(host, w, now);
     ev_->work_added = true; // Failed steps re-queued as retries.
     maybeEnterRepair(host, now);
@@ -163,8 +169,7 @@ ClusterSim::handleSilentFault(double now)
     trace_.record(TraceEventType::SilentFaultInjected, now, host.id,
                   gid);
     // No completion-event change: a silent fault only affects steps
-    // assigned from now on (service times are fixed at assignment),
-    // exactly as under the tick engine.
+    // assigned from now on (service times are fixed at assignment).
 }
 
 void
@@ -196,8 +201,8 @@ ClusterSim::handleWorkerDone(int gid, double now)
     collectWorker(host, w, now);
     updateCompletionEvent(w); // Later steps may still be running.
     ev_->capacity_changed = true;
-    // A detected-corrupt outcome bumps host.fault_count; the tick
-    // engine would notice on its next repair scan, we notice now.
+    // A detected-corrupt outcome bumps host.fault_count; a host that
+    // crosses its threshold goes to repair now.
     maybeEnterRepair(host, now);
 }
 
@@ -208,8 +213,8 @@ ClusterSim::handleSloEval(double now)
     ++ticks_;
     if (cfg_.observability && cfg_.fleet_publish_every_ticks > 0 &&
         ticks_ % cfg_.fleet_publish_every_ticks == 0) {
-        // Telemetry sampling rides the publish cadence here (the
-        // tick engine samples every tick — a documented delta).
+        // Telemetry sampling rides the publish cadence: sampling
+        // every worker every dt would cost a fleet scan per dt.
         sampleTick(now);
         publishRollup(now);
     }
@@ -217,17 +222,62 @@ ClusterSim::handleSloEval(double now)
         ev_->queue.schedule(now + ev_->dt, SimEventType::SloEval);
 }
 
-ClusterMetrics
-ClusterSim::runEvents(double duration, double dt,
-                      const ArrivalFn &arrivals)
+void
+ClusterSim::handleEvent(const EventQueue::Event &e)
 {
+    const int phase =
+        eventPhases().byType(static_cast<size_t>(e.type));
+    if (e.type == SimEventType::WorkerDone) {
+        // One per completion, the hottest event: sampled timing (it
+        // opens no child scopes; call counts stay exact).
+        prof::ProfScopeSampled prof_event(phase, 16);
+        handleWorkerDone(e.arg, e.time);
+        return;
+    }
+    // One phase scope per popped event gives the profiler
+    // per-event-type time attribution (dark cost: one relaxed load +
+    // branch; see profiler.h).
+    prof::ProfScope prof_event(phase);
+    switch (e.type) {
+    case SimEventType::ArrivalBatch:
+        handleArrivalBatch(*ev_->arrivals, e.time);
+        break;
+    case SimEventType::HardFault:
+        handleHardFault(e.time);
+        break;
+    case SimEventType::SilentFault:
+        handleSilentFault(e.time);
+        break;
+    case SimEventType::RepairDone:
+        handleRepairDone(e.time);
+        break;
+    case SimEventType::SloEval:
+        handleSloEval(e.time);
+        break;
+    case SimEventType::Publish:
+        publishRollup(e.time);
+        break;
+    case SimEventType::WorkerDone:
+        break; // Handled above.
+    }
+}
+
+ClusterMetrics
+ClusterSim::run(double duration, double dt, const ArrivalFn &arrivals)
+{
+    WSVA_ASSERT(duration > 0 && dt > 0, "bad run parameters");
+    prof::ProfScope prof_run(eventPhases().run);
+    metrics_ = ClusterMetrics{};
+    enc_util_samples_.reset();
+    dec_util_samples_.reset();
+    cpu_util_samples_.reset();
+
     const double start = clock_;
     const double end = start + duration;
 
-    // The tick engine checks `now < end` *before* adding dt, so it
-    // overshoots the horizon by up to one tick and accumulates time
-    // by repeated addition. Reproduce both exactly so fault-free
-    // event runs land on the same timestamps and final clock.
+    // The horizon is the first start + k*dt at or past the end,
+    // accumulated by repeated addition exactly like the ArrivalBatch
+    // and SloEval chains, so their last events land on it.
     double horizon = start;
     uint64_t tick_count = 0;
     while (horizon < end) {
@@ -270,7 +320,7 @@ ClusterSim::runEvents(double duration, double dt,
                           SimEventType::SilentFault);
     // Per-dt bookkeeping only when someone consumes it: with the SLO
     // monitor off and observability off (or publishing disabled), a
-    // quiet fleet processes zero events per tick.
+    // quiet fleet processes zero events per dt.
     const bool tick_events =
         cfg_.slo.enabled ||
         (cfg_.observability && cfg_.fleet_publish_every_ticks > 0);
@@ -281,41 +331,13 @@ ClusterSim::runEvents(double duration, double dt,
         const double t = st.queue.nextTime();
         st.work_added = false;
         st.capacity_changed = false;
-        // Batch every event at this timestamp (the heap's type
-        // tie-break reproduces the tick phase order within the
-        // batch), then run one backlog-dispatch pass, then audit.
+        // Batch every event at this timestamp, then run one
+        // backlog-dispatch pass, then audit.
         do {
             const EventQueue::Event e = st.queue.pop();
             clock_ = e.time;
             ++metrics_.events_processed;
-            // One phase scope per popped event gives the profiler
-            // per-event-type time attribution (dark cost: one relaxed
-            // load + branch; see profiler.h).
-            prof::ProfScope prof_event(
-                eventPhases().byType(static_cast<size_t>(e.type)));
-            switch (e.type) {
-            case SimEventType::ArrivalBatch:
-                handleArrivalBatch(*st.arrivals, e.time);
-                break;
-            case SimEventType::HardFault:
-                handleHardFault(e.time);
-                break;
-            case SimEventType::SilentFault:
-                handleSilentFault(e.time);
-                break;
-            case SimEventType::RepairDone:
-                handleRepairDone(e.time);
-                break;
-            case SimEventType::WorkerDone:
-                handleWorkerDone(e.arg, e.time);
-                break;
-            case SimEventType::SloEval:
-                handleSloEval(e.time);
-                break;
-            case SimEventType::Publish:
-                publishRollup(e.time);
-                break;
-            }
+            handleEvent(e);
         } while (!st.queue.empty() && st.queue.nextTime() == t);
         if (st.work_added || st.capacity_changed)
             scheduleBacklog(t);

@@ -168,7 +168,7 @@ Worker::utilization() const
 }
 
 double
-Worker::dimensionUtilization(const std::string &dim) const
+Worker::dimensionUtilization(uint16_t dim) const
 {
     const double cap = capacity_.get(dim);
     if (cap <= 0.0)

@@ -220,8 +220,9 @@ class Worker
     /** Busiest-dimension utilization in [0, 1]. */
     double utilization() const;
 
-    /** Utilization of one dimension in [0, 1]. */
-    double dimensionUtilization(const std::string &dim) const;
+    /** Utilization of one interned dimension (resourceDimId) in
+     *  [0, 1]. */
+    double dimensionUtilization(uint16_t dim) const;
 
   private:
     struct Running

@@ -103,6 +103,10 @@ TEST(ClusterSim, SilentFaultWithMitigationGetsQuarantined)
     cfg.failure.golden_screening = true;
     cfg.failure.abort_on_failure = true;
     cfg.failure.integrity_detect_prob = 0.9;
+    // VCU-level mitigation is the subject: a host that crosses its
+    // fault threshold goes to repair at once, before any dispatch can
+    // golden-screen its aborted workers, so keep host repair out.
+    cfg.failure.host_fault_threshold = 1000000;
     ClusterSim sim(cfg);
     const auto m = sim.run(900.0, 1.0, steadyArrivals(8));
     EXPECT_GT(m.workers_quarantined, 0);
@@ -251,7 +255,10 @@ TEST(ClusterSim, HorizonReportsInFlightWork)
 
 TEST(ClusterSim, MetricsRegistryMirrorsRunCounters)
 {
-    ClusterSim sim(smallCluster());
+    ClusterConfig cfg = smallCluster();
+    // Series are sampled at the publish cadence; publish every dt.
+    cfg.fleet_publish_every_ticks = 1;
+    ClusterSim sim(cfg);
     for (uint64_t i = 0; i < 10; ++i)
         sim.submit(makeMotStep(i, i, 0, {1920, 1080}, CodecType::VP9));
     const auto m = sim.run(60.0, 1.0);
@@ -259,7 +266,7 @@ TEST(ClusterSim, MetricsRegistryMirrorsRunCounters)
     EXPECT_EQ(reg.counter("cluster.steps_completed"), m.steps_completed);
     EXPECT_EQ(reg.counter("cluster.steps_submitted"), 10u);
     EXPECT_DOUBLE_EQ(reg.gauge("cluster.backlog_remaining"), 0.0);
-    // Utilization time-series were sampled each tick.
+    // Utilization time-series were sampled at every publish.
     EXPECT_GT(reg.seriesSnapshot("util.encoder").size(), 10u);
     EXPECT_GT(reg.seriesSnapshot("backlog").size(), 10u);
 }

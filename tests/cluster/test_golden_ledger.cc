@@ -1,7 +1,7 @@
 /**
  * @file
  * Golden-ledger oracle for the cluster simulator: pins the exact
- * outcome of four small seeded event-engine scenarios.
+ * outcome of four small seeded scenarios.
  *
  * Each digest is FNV-1a over the run's ledger fingerprint (every
  * ClusterMetrics counter, the conservation snapshot and the trace
@@ -82,7 +82,6 @@ TEST(GoldenLedger, FaultFree)
     cfg.hosts = 4;
     cfg.vcus_per_host = 8;
     cfg.seed = 7;
-    cfg.engine = SimEngine::Event;
     cfg.fleet_publish_every_ticks = 5;
     ClusterSim sim(cfg);
     const ClusterMetrics m = sim.run(120.0, 1.0, mixedArrivals(30));
@@ -102,7 +101,6 @@ TEST(GoldenLedger, HardAndSilentFaultsWithCappedRepairs)
     cfg.vcus_per_host = 5;
     cfg.hosts_per_rack = 2;
     cfg.seed = 7;
-    cfg.engine = SimEngine::Event;
     cfg.vcu_hard_fault_per_hour = 30.0;
     cfg.vcu_silent_fault_per_hour = 15.0;
     cfg.failure.host_fault_threshold = 2;
@@ -126,7 +124,6 @@ TEST(GoldenLedger, LiveSurgeWithShedding)
     cfg.hosts = 2;
     cfg.vcus_per_host = 8;
     cfg.seed = 7;
-    cfg.engine = SimEngine::Event;
     cfg.deadline.shed_enabled = true;
     cfg.deadline.slack_guard_seconds = 4.0;
     cfg.track_blast_radius = false;
@@ -179,7 +176,6 @@ TEST(GoldenLedger, ThreeRegionsOneBlackHoledAndQuarantined)
     cfg.cluster.hosts = 2;
     cfg.cluster.vcus_per_host = 6;
     cfg.cluster.seed = 11;
-    cfg.cluster.engine = SimEngine::Event;
     cfg.cluster.vcu_hard_fault_per_hour = 2.0;
     // The black-hole shape: corruption is always detected and nothing
     // self-heals, so the router's health gate is the only defense.

@@ -166,9 +166,10 @@ TEST(Worker, DimensionUtilization)
 {
     Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
-    EXPECT_DOUBLE_EQ(w.dimensionUtilization(kResEncodeMillicores), 0.2);
-    EXPECT_NEAR(w.dimensionUtilization(kResDecodeMillicores), 500.0 / 3000,
-                1e-12);
+    EXPECT_DOUBLE_EQ(
+        w.dimensionUtilization(resourceDimId(kResEncodeMillicores)), 0.2);
+    EXPECT_NEAR(w.dimensionUtilization(resourceDimId(kResDecodeMillicores)),
+                500.0 / 3000, 1e-12);
 }
 
 TEST(WorkerDeathTest, OverAssignPanics)

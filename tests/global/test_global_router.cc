@@ -19,14 +19,13 @@ namespace wsva::global {
 namespace {
 
 using wsva::cluster::ClusterConfig;
-using wsva::cluster::SimEngine;
 using wsva::cluster::TranscodeStep;
 using wsva::cluster::makeMotStep;
 using wsva::video::codec::CodecType;
 using wsva::workload::RegionalUploadTraffic;
 using wsva::workload::UploadTrafficConfig;
 
-/** Two regions of 2 hosts x 8 VCUs on the event engine, fault-free. */
+/** Two regions of 2 hosts x 8 VCUs, fault-free. */
 GlobalRouterConfig
 twoRegionConfig()
 {
@@ -34,7 +33,6 @@ twoRegionConfig()
     cfg.regions = 2;
     cfg.cluster.hosts = 2;
     cfg.cluster.vcus_per_host = 8;
-    cfg.cluster.engine = SimEngine::Event;
     cfg.cluster.seed = 11;
     return cfg;
 }

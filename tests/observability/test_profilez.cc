@@ -99,7 +99,7 @@ TEST(Profilez, PageServesTopTableAndFlameFromLiveSim)
     ASSERT_EQ(profilez.status, 200);
     EXPECT_NE(profilez.body.find("profiler: enabled"),
               std::string::npos);
-    // The tick engine's dispatch phase must show up with real time.
+    // The dispatch phase must show up with real time.
     EXPECT_NE(profilez.body.find("cluster/dispatch"),
               std::string::npos);
     EXPECT_NE(profilez.body.find("per-thread:"), std::string::npos);
@@ -241,36 +241,28 @@ TEST(ProfilerDeterminism, OnOffLeavesLedgerAndRngByteIdentical)
     // field across a dark run and a fully-profiled run (timers +
     // sampler) proves the profiler never touches the RNG streams or
     // sim state — it only reads clocks and writes its own TLS.
-    for (const SimEngine engine :
-         {SimEngine::Tick, SimEngine::Event}) {
-        ClusterConfig cfg = demoConfig();
-        cfg.engine = engine;
+    const ClusterConfig cfg = demoConfig();
 
-        ProfileRegistry &reg = freshProfiler();
-        ClusterSim dark(cfg);
-        const ClusterMetrics m_dark =
-            dark.run(300.0, 1.0, steadyArrivals());
-        const std::string fp_dark = ledgerFingerprint(m_dark, dark);
-        const std::string trace_dark = dark.traceLog().toJson(100000);
+    ProfileRegistry &reg = freshProfiler();
+    ClusterSim dark(cfg);
+    const ClusterMetrics m_dark = dark.run(300.0, 1.0, steadyArrivals());
+    const std::string fp_dark = ledgerFingerprint(m_dark, dark);
+    const std::string trace_dark = dark.traceLog().toJson(100000);
 
-        reg.setEnabled(true);
-        reg.startSampler(/*period_us=*/500);
-        ClusterSim profiled(cfg);
-        const ClusterMetrics m_prof =
-            profiled.run(300.0, 1.0, steadyArrivals());
-        reg.stopSampler();
-        reg.setEnabled(false);
-        const std::string fp_prof =
-            ledgerFingerprint(m_prof, profiled);
-        const std::string trace_prof =
-            profiled.traceLog().toJson(100000);
+    reg.setEnabled(true);
+    reg.startSampler(/*period_us=*/500);
+    ClusterSim profiled(cfg);
+    const ClusterMetrics m_prof =
+        profiled.run(300.0, 1.0, steadyArrivals());
+    reg.stopSampler();
+    reg.setEnabled(false);
+    const std::string fp_prof = ledgerFingerprint(m_prof, profiled);
+    const std::string trace_prof = profiled.traceLog().toJson(100000);
 
-        EXPECT_EQ(fp_dark, fp_prof) << "engine "
-                                    << static_cast<int>(engine);
-        // The full trace (every sim event with timestamps) is the
-        // byte-level witness of the RNG-driven schedule.
-        EXPECT_EQ(trace_dark, trace_prof);
-    }
+    EXPECT_EQ(fp_dark, fp_prof);
+    // The full trace (every sim event with timestamps) is the
+    // byte-level witness of the RNG-driven schedule.
+    EXPECT_EQ(trace_dark, trace_prof);
 }
 
 } // namespace
