@@ -2,22 +2,21 @@
  * @file
  * Indexed min-heap event queue for the discrete-event cluster core.
  *
- * The tick engine pays O(hosts x vcus) every tick whether anything
- * happened or not; the event engine pays O(log E) per *event*. This
- * queue is its backbone: a binary min-heap of (time, type, seq) keys
- * over a slab of event records, with an index from slab slot to heap
- * position so any pending event can be cancelled in O(log E). The
- * cluster uses cancellation for worker completion events (a new
- * assignment can pull a worker's earliest finish time earlier) and
- * for draining a host's workers when it enters repair.
+ * The cluster simulator pays O(log E) per *event* and nothing for a
+ * quiet fleet. This queue is its backbone: a binary min-heap of
+ * (time, type, seq) keys over a slab of event records, with an index
+ * from slab slot to heap position so any pending event can be
+ * cancelled in O(log E). The cluster uses cancellation for worker
+ * completion events (a new assignment can pull a worker's earliest
+ * finish time earlier) and for draining a host's workers when it
+ * enters repair.
  *
  * Ordering is fully deterministic: ties on time break by event type
- * (mirroring the phase order of one tick: arrivals, fault injection,
- * repairs, completions, SLO accounting, telemetry publish), then by a
- * monotonically increasing schedule sequence number. Handles are slab
- * indices tagged with a generation byte so a stale cancel of a slot
- * that was already popped and reused is detected instead of silently
- * removing the wrong event.
+ * (arrivals, fault injection, repairs, completions, SLO accounting,
+ * telemetry publish), then by a monotonically increasing schedule
+ * sequence number. Handles are slab indices tagged with a generation
+ * byte so a stale cancel of a slot that was already popped and reused
+ * is detected instead of silently removing the wrong event.
  */
 
 #ifndef WSVA_CLUSTER_EVENT_QUEUE_H
@@ -31,8 +30,7 @@ namespace wsva::cluster {
 
 /**
  * Event kinds, in tie-break priority order. At equal timestamps the
- * queue pops lower-valued types first, mirroring the tick engine's
- * phase order within one tick.
+ * queue pops lower-valued types first.
  */
 enum class SimEventType : uint8_t {
     ArrivalBatch = 0,  //!< Pull a batch from the arrival function.

@@ -71,8 +71,8 @@ class RepairQueue
 
     /**
      * Scheduled completion time of a host currently in repair
-     * (asserts contains(host_id)). The event engine schedules its
-     * RepairDone event here instead of polling every tick.
+     * (asserts contains(host_id)). The simulator schedules its
+     * RepairDone event here instead of polling.
      */
     double completionTime(int host_id) const;
 

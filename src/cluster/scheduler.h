@@ -157,8 +157,8 @@ class Scheduler
     void recordPick(bool placed);
 
     SchedulerStats stats_;
-    // pick() runs for every backlog entry every tick; the counters
-    // are pre-resolved handles so the hot path never locks.
+    // pick() runs for every backlog entry every dispatch pass; the
+    // counters are pre-resolved handles so the hot path never locks.
     wsva::CounterHandle placed_counter_;
     wsva::CounterHandle rejected_counter_;
 };

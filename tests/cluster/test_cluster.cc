@@ -167,8 +167,7 @@ TEST(ClusterSim, NumaAwarenessImprovesThroughput)
         ClusterSim sim(cfg);
         auto counter = std::make_shared<uint64_t>(0);
         // Saturating load: the NUMA penalty only costs throughput
-        // when the cluster is resource-bound. A fine tick keeps the
-        // completion quantization well under the 20% penalty.
+        // when the cluster is resource-bound.
         return sim.run(600.0, 0.25, [counter](double, double) {
             std::vector<TranscodeStep> steps;
             for (int i = 0; i < 40; ++i) {

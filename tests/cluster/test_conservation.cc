@@ -3,11 +3,11 @@
  * Step-conservation suite: under any mix of hard faults, silent
  * faults, integrity retries, aborts, quarantines, and capped repairs,
  * every step ever submitted must sit in exactly one bucket —
- * completed, in flight, backlog, or terminally failed — at every tick
- * and at the horizon. Each scenario drives the simulator tick by tick
- * (run() keeps its clock and RNG across calls, so N unit-duration
- * runs replay one long run exactly) and audits the ledger after every
- * tick, on top of the simulator's own internal per-tick checker.
+ * completed, in flight, backlog, or terminally failed — after every
+ * dt slice and at the horizon. Each scenario drives the simulator one
+ * dt slice per run() call (run() keeps its clock, RNG and in-flight
+ * work across calls) and audits the ledger after every slice, on top
+ * of the simulator's own checker after every batch of events.
  */
 
 #include "cluster/cluster.h"
