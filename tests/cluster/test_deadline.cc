@@ -249,24 +249,18 @@ TEST(DeadlineScheduler, ShedLotReleasesWithNothingElseQueued)
 }
 
 /**
- * Surge workload: a batch stream
- * that saturates the fleet (16 steps/s of ~5 s-service 1080p MOT
- * against a 2x8-VCU drain rate of ~12.8/s, so workers pack four
- * batch steps each and a live segment never fits without shedding)
- * plus live channel churn with a mid-run flash crowd. Live arrivals
- * stop at @p live_until so the EDF lane can empty and the shed lot
- * release before the horizon.
+ * Surge workload: a batch stream that saturates the fleet (16 steps/s
+ * of ~5 s-service 1080p MOT against a 2x8-VCU drain rate of ~12.8/s,
+ * so workers pack four batch steps each) plus live channel churn with
+ * a mid-run flash crowd.
  */
 ArrivalFn
 surgeArrivals(std::shared_ptr<wsva::workload::LiveTraffic> live,
               std::shared_ptr<uint64_t> next_batch_id,
-              int batch_per_tick, double live_until)
+              int batch_per_tick)
 {
-    return [live, next_batch_id, batch_per_tick,
-            live_until](double now, double dt) {
-        std::vector<TranscodeStep> steps;
-        if (now < live_until)
-            steps = live->arrivals(now, dt);
+    return [live, next_batch_id, batch_per_tick](double now, double dt) {
+        std::vector<TranscodeStep> steps = live->arrivals(now, dt);
         for (int i = 0; i < batch_per_tick; ++i)
             steps.push_back(batchStep(1000000 + (*next_batch_id)++, 300,
                                       {1920, 1080}));
@@ -319,7 +313,7 @@ TEST(DeadlineScheduler, LedgerHoldsUnderSurgeOnBothEngines)
         std::make_shared<wsva::workload::LiveTraffic>(surgeLiveConfig());
     auto next_id = std::make_shared<uint64_t>(0);
     const auto m =
-        sim.run(150.0, 1.0, surgeArrivals(live, next_id, 16, 1e18));
+        sim.run(150.0, 1.0, surgeArrivals(live, next_id, 16));
 
     EXPECT_EQ(m.conservation_violations, 0u);
     const ConservationSnapshot snap = sim.conservation();
