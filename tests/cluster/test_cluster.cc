@@ -96,6 +96,45 @@ TEST(ClusterSim, RepairRestoresCapacity)
     EXPECT_GT(m.hosts_repaired, 0u);
 }
 
+TEST(ClusterSim, RepairWaitlistSurvivesRunBoundaries)
+{
+    // A host the repair cap defers must keep its waitlist place across
+    // run() calls. With one VCU per host and a fault threshold of one,
+    // a host whose VCU is down draws no further faults, so only the
+    // waitlist brings it to repair; sliced callers (the global router
+    // runs 4-s slices) used to drop the waitlist at every return.
+    // Invariant at every slice boundary: while a repair slot is free,
+    // no host sits down outside repair.
+    ClusterConfig cfg;
+    cfg.hosts = 4;
+    cfg.vcus_per_host = 1;
+    cfg.seed = 5;
+    cfg.vcu_hard_fault_per_hour = 0.2 * 3600.0;
+    cfg.failure.host_fault_threshold = 1;
+    cfg.failure.repair_cap = 1;
+    cfg.failure.repair_seconds = 5.0;
+    ClusterSim sim(cfg);
+    uint64_t repaired = 0;
+    for (int slice = 1; slice <= 200; ++slice) {
+        repaired += sim.run(1.0, 1.0).hosts_repaired;
+        const auto fleet = sim.buildFleetHealth(slice);
+        int in_repair = 0;
+        int down_outside = 0;
+        for (const auto &host : fleet.hosts) {
+            if (host.counts.in_repair > 0)
+                ++in_repair;
+            else if (host.counts.healthy < host.counts.total())
+                ++down_outside;
+        }
+        if (in_repair < cfg.failure.repair_cap) {
+            ASSERT_EQ(down_outside, 0) << "slice " << slice;
+        }
+    }
+    // Repairs are bound by the cap: one 5-s repair at a time admits
+    // at most 40 in 200 s, and a busy waitlist keeps the slot full.
+    EXPECT_GE(repaired, 35u);
+}
+
 TEST(ClusterSim, SilentFaultWithMitigationGetsQuarantined)
 {
     ClusterConfig cfg = smallCluster();
