@@ -56,6 +56,23 @@ ConsistentHashRing::removeWorker(int worker_id)
         ring_.erase({pointPosition(worker_id, v), worker_id});
 }
 
+std::set<std::pair<uint64_t, int>>::const_iterator
+ConsistentHashRing::firstPointAtOrAfter(uint64_t key) const
+{
+    // The worker-id tiebreak in the pair key makes the walk order —
+    // and therefore every affinity set — a pure function of
+    // (key, id set).
+    return ring_.lower_bound({mix(key), std::numeric_limits<int>::min()});
+}
+
+int
+ConsistentHashRing::primary(uint64_t key) const
+{
+    WSVA_ASSERT(!ring_.empty(), "primary() on an empty ring");
+    const auto it = firstPointAtOrAfter(key);
+    return it == ring_.end() ? ring_.begin()->second : it->second;
+}
+
 std::vector<int>
 ConsistentHashRing::affinitySet(uint64_t key, size_t count) const
 {
@@ -64,11 +81,9 @@ ConsistentHashRing::affinitySet(uint64_t key, size_t count) const
         return result;
     count = std::min(count, ids_.size());
 
-    // Start from the first point at-or-after the key's position; the
-    // worker-id tiebreak in the pair key makes the walk order — and
-    // therefore the affinity set — a pure function of (key, id set).
-    auto it = ring_.lower_bound(
-        {mix(key), std::numeric_limits<int>::min()});
+    // Walk clockwise from the first point at-or-after the key's
+    // position, collecting distinct workers.
+    auto it = firstPointAtOrAfter(key);
     while (result.size() < count) {
         if (it == ring_.end())
             it = ring_.begin();

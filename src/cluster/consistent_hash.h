@@ -39,6 +39,13 @@ class ConsistentHashRing
      */
     std::vector<int> affinitySet(uint64_t key, size_t count) const;
 
+    /**
+     * The first worker clockwise from @p key's position, i.e.
+     * affinitySet(key, 1).front(), without building a vector. The
+     * ring must not be empty.
+     */
+    int primary(uint64_t key) const;
+
     /** Remove a worker (failed/disabled/quarantined); its keys spill
      *  over. Removing an id not on the ring is a no-op. Removal erases
      *  exactly the worker's own virtual points, so no stale point can
@@ -56,6 +63,10 @@ class ConsistentHashRing
   private:
     static uint64_t mix(uint64_t value);
     uint64_t pointPosition(int worker_id, int virtual_node) const;
+    /** Ring point where @p key's clockwise walk starts (end() means
+     *  wrap to begin()). */
+    std::set<std::pair<uint64_t, int>>::const_iterator
+    firstPointAtOrAfter(uint64_t key) const;
 
     /**
      * Ring points keyed by (position, worker id). Keying by the pair

@@ -171,6 +171,18 @@ EventQueue::pop()
     return ev;
 }
 
+void
+EventQueue::clear()
+{
+    slots_.clear();
+    heap_.clear();
+    free_head_ = kNoFree;
+    next_seq_ = 0;
+    scheduled_ = 0;
+    cancelled_ = 0;
+    popped_ = 0;
+}
+
 size_t
 EventQueue::capacityBytes() const
 {

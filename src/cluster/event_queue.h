@@ -74,6 +74,15 @@ class EventQueue
     /** Scheduled time of a pending event (asserts pending(h)). */
     double timeOf(Handle h) const;
 
+    /**
+     * Drop every pending event and reset the sequence and the
+     * counters, keeping the storage: the queue then behaves exactly
+     * like a new one (same seq numbers, same slot order) without
+     * reallocating. Handles issued before the clear must not be used
+     * after it.
+     */
+    void clear();
+
     bool empty() const { return heap_.empty(); }
     size_t size() const { return heap_.size(); }
 

@@ -24,6 +24,7 @@ struct DimTable
 
     DimTable()
     {
+        // Seeded in kDim* order, so each name gets its constant's id.
         for (const char *name :
              {kResDecodeMillicores, kResEncodeMillicores, kResDramBytes,
               kResHostCpuMillicores, kResSwDecodeMillicores}) {

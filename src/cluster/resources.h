@@ -39,9 +39,22 @@ inline constexpr const char *kResHostCpuMillicores = "host_cpu_millicores";
 inline constexpr const char *kResSwDecodeMillicores = "sw_dec_millicores";
 
 /**
+ * Interned ids of the canonical dimensions above, in the order the
+ * table is seeded: resourceDimId(kResDecodeMillicores) ==
+ * kDimDecodeMillicores, and so on. Per-step code sets dimensions by
+ * these ids, which skips the string, the lock and the lookup.
+ */
+inline constexpr uint16_t kDimDecodeMillicores = 0;
+inline constexpr uint16_t kDimEncodeMillicores = 1;
+inline constexpr uint16_t kDimDramBytes = 2;
+inline constexpr uint16_t kDimHostCpuMillicores = 3;
+inline constexpr uint16_t kDimSwDecodeMillicores = 4;
+
+/**
  * Intern @p name into the process-wide dimension table and return its
- * id. The five canonical VCU dimensions are pre-seeded with stable
- * ids; further names get ids in first-intern order. Thread-safe.
+ * id. The five canonical VCU dimensions are pre-seeded with the
+ * stable kDim* ids; further names get ids in first-intern order.
+ * Thread-safe.
  */
 uint16_t resourceDimId(const std::string &name);
 

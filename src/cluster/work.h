@@ -10,9 +10,10 @@
 #define WSVA_CLUSTER_WORK_H
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <vector>
+#include <type_traits>
 
 #include "cluster/resources.h"
 #include "video/codec/codec.h"
@@ -33,6 +34,47 @@ enum class Priority : int {
     Batch = 2,
 };
 
+/**
+ * The output rungs of a step, as a 2-byte id into a process-wide
+ * intern table. Each distinct ladder is stored once; a step copies
+ * only the id, so TranscodeStep stays trivially copyable and every
+ * queue, batch and arrival vector moves it with memcpy. Reads need no
+ * lock: an entry never moves or changes once its id is handed out.
+ * Interning is thread-safe. The MOT ladders and the single-rung
+ * ladders of the standard rungs are interned when the table is built,
+ * so forInput() and single() on a standard rung take no lock either.
+ */
+class OutputLadder
+{
+  public:
+    using Resolution = wsva::video::Resolution;
+
+    /** Rungs one ladder can hold (the standard ladder has 9). */
+    static constexpr size_t kMaxRungs = 16;
+
+    /** The empty ladder. */
+    OutputLadder() = default;
+
+    /** The MOT ladder for @p input: outputsForInput(input). */
+    static OutputLadder forInput(Resolution input);
+
+    /** The one-rung ladder {@p rung}. */
+    static OutputLadder single(Resolution rung);
+
+    size_t size() const;
+    const Resolution *begin() const;
+    const Resolution *end() const { return begin() + size(); }
+    const Resolution &front() const { return *begin(); }
+
+    /** Equal rungs, equal ids: comparing ladders compares the ids. */
+    bool operator==(const OutputLadder &other) const = default;
+
+  private:
+    explicit OutputLadder(uint16_t id) : id_(id) {}
+
+    uint16_t id_ = 0; //!< 0 is the empty ladder.
+};
+
 /** One schedulable transcoding step (a chunk of one video). */
 struct TranscodeStep
 {
@@ -41,7 +83,7 @@ struct TranscodeStep
     int chunk_index = 0;
 
     wsva::video::Resolution input{1920, 1080};
-    std::vector<wsva::video::Resolution> outputs; //!< >1 => MOT.
+    OutputLadder outputs; //!< >1 rung => MOT.
     wsva::video::codec::CodecType codec =
         wsva::video::codec::CodecType::VP9;
     double fps = 30.0;
@@ -84,6 +126,11 @@ struct TranscodeStep
     /** Chunk duration in video seconds. */
     double durationSeconds() const { return frames / fps; }
 };
+
+// Steps are copied through arrival vectors, queue lanes and worker
+// batches; keep that a memcpy and keep the step small.
+static_assert(std::is_trivially_copyable_v<TranscodeStep>);
+static_assert(sizeof(TranscodeStep) <= 104);
 
 /** Build the standard MOT step for an input resolution. */
 TranscodeStep makeMotStep(uint64_t id, uint64_t video_id, int chunk_index,
@@ -145,6 +192,16 @@ double effectiveSpeedup(const TranscodeStep &step,
 /** Resource need of a step on a VCU worker under @p policy. */
 ResourceVector stepResourceNeed(const TranscodeStep &step,
                                 const ResourceMappingPolicy &policy);
+
+/** A step's resource need and service seconds, both sized from one
+ *  effectiveSpeedup() (the dispatch path needs the pair). */
+struct StepSizing
+{
+    ResourceVector need;
+    double service_seconds = 0.0;
+};
+StepSizing sizeStep(const TranscodeStep &step,
+                    const ResourceMappingPolicy &policy);
 
 /** Wall-clock service seconds of a step given its allocation. */
 double stepServiceSeconds(const TranscodeStep &step,

@@ -52,10 +52,10 @@ Worker::assign(const TranscodeStep &step, const ResourceVector &need,
     }
 }
 
-std::vector<StepOutcome>
-Worker::collectFinished(double now)
+void
+Worker::collectFinished(double now, std::vector<StepOutcome> &out)
 {
-    std::vector<StepOutcome> out;
+    out.clear();
     const bool dead = vcu_ != nullptr && vcu_->disabled;
     const bool corrupting = vcu_ != nullptr && vcu_->silent_fault;
     for (auto it = running_.begin(); it != running_.end();) {
@@ -93,7 +93,6 @@ Worker::collectFinished(double now)
     }
     if (!out.empty())
         notifyAvailability();
-    return out;
 }
 
 std::vector<TranscodeStep>

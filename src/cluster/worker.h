@@ -140,8 +140,12 @@ class Worker
      * work that finished before the device died already produced its
      * output and must not be retried. Steps on a silently faulty VCU
      * complete corrupt.
+     *
+     * @param out Replaced with the outcomes, in running order. The
+     *        caller owns and reuses it, so a warmed buffer makes the
+     *        per-completion path allocation-free.
      */
-    std::vector<StepOutcome> collectFinished(double now);
+    void collectFinished(double now, std::vector<StepOutcome> &out);
 
     /**
      * Abort everything in flight (black-holing mitigation). The

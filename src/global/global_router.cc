@@ -1,7 +1,6 @@
 #include "global/global_router.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/debug_server.h"
 #include "common/logging.h"
@@ -28,6 +27,8 @@ GlobalRouter::GlobalRouter(GlobalRouterConfig cfg)
                     cfg_.dt <= cfg_.step_seconds,
                 "bad router cadence");
     registry_.setEnabled(cfg_.observability);
+    submitted_counter_ = registry_.counterHandle("global.steps_submitted");
+    rerouted_counter_ = registry_.counterHandle("global.steps_rerouted");
 
     sims_.reserve(static_cast<size_t>(cfg_.regions));
     gates_.reserve(static_cast<size_t>(cfg_.regions));
@@ -60,8 +61,7 @@ GlobalRouter::preferredRegion(const TranscodeStep &step) const
     if (origin >= 0 && origin < cfg_.regions &&
         !status_[static_cast<size_t>(origin)].quarantined)
         return origin;
-    const auto primary = ring_.affinitySet(step.video_id, 1);
-    return primary.empty() ? -1 : primary.front();
+    return ring_.workerCount() == 0 ? -1 : ring_.primary(step.video_id);
 }
 
 int
@@ -71,22 +71,21 @@ GlobalRouter::pickRegion(const TranscodeStep &step) const
     // ring walk for the step's video id across every routable
     // region. Take the first candidate under the spill threshold;
     // when every region is over it (fleet-wide overload), fall back
-    // to the least-loaded routable region rather than refusing.
+    // to the least-loaded routable region (first in that order on a
+    // tie) rather than refusing. The walk runs only when the
+    // preferred region is over the threshold: on a healthy fleet
+    // almost every step stays put, and the walk is the costly part.
     const int preferred = preferredRegion(step);
     if (preferred < 0)
         return -1; // Nothing routable.
+    double least_load = loadFactor(preferred);
+    if (least_load <= cfg_.spill_load_factor)
+        return preferred;
 
-    std::vector<int> candidates;
-    candidates.reserve(ring_.workerCount() + 1);
-    candidates.push_back(preferred);
+    int least_loaded = preferred;
     for (int r : ring_.affinitySet(step.video_id, ring_.workerCount())) {
-        if (r != preferred)
-            candidates.push_back(r);
-    }
-
-    int least_loaded = -1;
-    double least_load = std::numeric_limits<double>::infinity();
-    for (int r : candidates) {
+        if (r == preferred)
+            continue;
         const double load = loadFactor(r);
         if (load <= cfg_.spill_load_factor)
             return r;
@@ -103,7 +102,7 @@ GlobalRouter::routeStep(const TranscodeStep &step, bool fresh)
 {
     if (fresh) {
         ++submitted_total_;
-        registry_.inc("global.steps_submitted");
+        submitted_counter_.inc();
     }
     const int dest = pickRegion(step);
     if (dest < 0) {
@@ -119,7 +118,7 @@ GlobalRouter::routeStep(const TranscodeStep &step, bool fresh)
     if (!fresh || off_origin) {
         ++st.rerouted_in;
         ++rerouted_total_;
-        registry_.inc("global.steps_rerouted");
+        rerouted_counter_.inc();
     }
     sims_[static_cast<size_t>(dest)]->submit(step);
 }

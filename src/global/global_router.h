@@ -284,6 +284,10 @@ class GlobalRouter
     uint64_t audit_violations_ = 0;
 
     wsva::MetricsRegistry registry_;
+    // Pre-resolved handles for the per-step counters (routeStep runs
+    // once per step; a handle skips the name string and the lock).
+    wsva::CounterHandle submitted_counter_;
+    wsva::CounterHandle rerouted_counter_;
 
     // Published /statusz text: router steps rebuild it off to the
     // side and swap under a spinlock held for a string move, so

@@ -155,6 +155,33 @@ TEST(ConsistentHash, ChurnKeepsLookupsDeterministic)
         ASSERT_EQ(ring.affinitySet(key, 3), before[key]) << key;
 }
 
+TEST(ConsistentHash, PrimaryIsTheFirstAffinityMemberAcrossChurn)
+{
+    // The router asks for the primary on its quarantine fallback
+    // without building an affinity vector; the two must agree on
+    // every ring the churn produces, wrap-around keys included.
+    ConsistentHashRing ring(ids(8), 64);
+    const auto check = [&ring](int cycle) {
+        for (uint64_t key = 0; key < 512; ++key) {
+            const uint64_t k = key * 0x9e3779b97f4a7c15ULL;
+            ASSERT_EQ(ring.primary(k), ring.affinitySet(k, 1).front())
+                << "cycle " << cycle << " key " << k;
+        }
+    };
+    check(-1);
+    for (int cycle = 0; cycle < 40; ++cycle) {
+        ring.removeWorker(cycle % 8);
+        if (cycle % 3 == 0)
+            ring.removeWorker((cycle + 5) % 8);
+        check(cycle);
+        ring.addWorker(cycle % 8);
+        check(cycle);
+        if (cycle % 3 == 0)
+            ring.addWorker((cycle + 5) % 8);
+    }
+    EXPECT_EQ(ring.workerCount(), 8u);
+}
+
 TEST(ConsistentHash, ChurnOrderIndependence)
 {
     // The same id set reached through different add/remove histories

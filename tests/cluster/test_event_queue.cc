@@ -172,5 +172,44 @@ TEST(EventQueue, SlabReusesFreedSlots)
     EXPECT_EQ(q.popped(), 4000u);
 }
 
+TEST(EventQueue, ClearBehavesLikeANewQueueAndKeepsStorage)
+{
+    // ClusterSim reuses one queue across run() calls; a cleared queue
+    // must pop (and hand out handles) exactly as a new one does, since
+    // same-time order rests on the schedule sequence.
+    const auto fill = [](EventQueue &q) {
+        std::vector<EventQueue::Handle> handles;
+        for (int i = 0; i < 64; ++i)
+            handles.push_back(q.schedule(static_cast<double>(i % 5),
+                                         SimEventType::WorkerDone, i));
+        q.cancel(handles[7]);
+        return handles;
+    };
+    EventQueue used;
+    fill(used);
+    for (int i = 0; i < 20; ++i)
+        (void)used.pop();
+    const size_t bytes = used.capacityBytes();
+    used.clear();
+    EXPECT_TRUE(used.empty());
+    EXPECT_EQ(used.scheduled(), 0u);
+    EXPECT_EQ(used.cancelled(), 0u);
+    EXPECT_EQ(used.popped(), 0u);
+    EXPECT_EQ(used.capacityBytes(), bytes);
+
+    EventQueue fresh;
+    EXPECT_EQ(fill(used), fill(fresh));
+    while (!fresh.empty()) {
+        ASSERT_FALSE(used.empty());
+        const auto a = used.pop();
+        const auto b = fresh.pop();
+        EXPECT_EQ(a.time, b.time);
+        EXPECT_EQ(a.type, b.type);
+        EXPECT_EQ(a.arg, b.arg);
+    }
+    EXPECT_TRUE(used.empty());
+    EXPECT_EQ(used.capacityBytes(), bytes);
+}
+
 } // namespace
 } // namespace wsva::cluster

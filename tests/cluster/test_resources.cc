@@ -12,6 +12,19 @@ TEST(ResourceVector, GetAbsentIsZero)
     EXPECT_TRUE(rv.empty());
 }
 
+TEST(ResourceVector, CanonicalDimensionIdsMatchTheirNames)
+{
+    // stepResourceNeed sets dimensions by these constants; each must
+    // be the id its name interns to.
+    EXPECT_EQ(resourceDimId(kResDecodeMillicores), kDimDecodeMillicores);
+    EXPECT_EQ(resourceDimId(kResEncodeMillicores), kDimEncodeMillicores);
+    EXPECT_EQ(resourceDimId(kResDramBytes), kDimDramBytes);
+    EXPECT_EQ(resourceDimId(kResHostCpuMillicores),
+              kDimHostCpuMillicores);
+    EXPECT_EQ(resourceDimId(kResSwDecodeMillicores),
+              kDimSwDecodeMillicores);
+}
+
 TEST(ResourceVector, SetAndGet)
 {
     ResourceVector rv;

@@ -167,6 +167,7 @@ TEST(AvailabilityIndex, IndexedPicksMatchLinearScanUnderChurn)
     double now = 0.0;
     uint64_t next_step = 0;
     int placed = 0, rejected = 0;
+    std::vector<StepOutcome> outcomes;
     for (int op = 0; op < 4000; ++op) {
         now += 0.25;
         const int kind = rng.uniformRange(0, 9);
@@ -196,8 +197,8 @@ TEST(AvailabilityIndex, IndexedPicksMatchLinearScanUnderChurn)
         } else if (kind < 8) {
             // Advance time on one worker pair: collect completions.
             const int v = rng.uniformRange(0, kWorkers - 1);
-            (void)indexed[v]->collectFinished(now);
-            (void)linear[v]->collectFinished(now);
+            indexed[v]->collectFinished(now, outcomes);
+            linear[v]->collectFinished(now, outcomes);
         } else if (kind == 8) {
             // Health churn: fault or un-fault one VCU.
             const int v = rng.uniformRange(0, kWorkers - 1);

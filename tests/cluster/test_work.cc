@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 namespace wsva::cluster {
 namespace {
 
@@ -21,6 +24,74 @@ TEST(Work, SotStepSingleOutput)
                                   CodecType::H264);
     EXPECT_FALSE(step.isMot());
     EXPECT_EQ(step.outputs.size(), 1u);
+}
+
+TEST(OutputLadder, MotLadderMatchesOutputsForInput)
+{
+    // makeMotStep reads its ladder from the intern table; it must be
+    // the rung list outputsForInput builds, for any input height.
+    for (int height : {0, 100, 144, 200, 360, 480, 719, 720, 1080, 1081,
+                       1440, 2160, 3000, 4320, 9000}) {
+        const wsva::video::Resolution input{height * 16 / 9, height};
+        const auto expected = wsva::video::outputsForInput(input);
+        const auto step = makeMotStep(1, 1, 0, input, CodecType::VP9);
+        ASSERT_EQ(step.outputs.size(), expected.size()) << height;
+        for (size_t i = 0; i < expected.size(); ++i)
+            EXPECT_EQ(step.outputs.begin()[i], expected[i])
+                << height << " " << i;
+    }
+}
+
+TEST(OutputLadder, EqualRungsShareOneId)
+{
+    const auto sot = makeSotStep(1, 1, 0, {1920, 1080}, {256, 144},
+                                 CodecType::H264);
+    const auto mot = makeMotStep(2, 1, 0, {256, 144}, CodecType::H264);
+    EXPECT_EQ(sot.outputs, mot.outputs); // Both are {144p}.
+    const auto odd = OutputLadder::single({1000, 562});
+    EXPECT_EQ(odd, OutputLadder::single({1000, 562}));
+    EXPECT_NE(odd, OutputLadder::single({1000, 563}));
+    ASSERT_EQ(odd.size(), 1u);
+    EXPECT_EQ(odd.front().width, 1000);
+    EXPECT_EQ(OutputLadder().size(), 0u);
+    EXPECT_EQ(TranscodeStep().outputs, OutputLadder());
+}
+
+TEST(OutputLadder, ConcurrentInterningIsConsistent)
+{
+    // Arbitrary SOT rungs intern under the table's lock while other
+    // threads read entries lock-free; every thread must get the same
+    // ladder for the same rung and read back what it interned.
+    constexpr int kThreads = 4;
+    constexpr int kRungs = 300;
+    std::vector<std::vector<OutputLadder>> ladders(
+        kThreads, std::vector<OutputLadder>(kRungs));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([t, &ladders] {
+            for (int i = 0; i < kRungs; ++i) {
+                // Each thread starts at a different rung.
+                const int k = (i + t * 77) % kRungs;
+                const OutputLadder ladder =
+                    OutputLadder::single({2000 + k, 3000 + k});
+                ASSERT_EQ(ladder.size(), 1u);
+                ASSERT_EQ(ladder.front().width, 2000 + k);
+                ASSERT_EQ(ladder.front().height, 3000 + k);
+                ladders[static_cast<size_t>(t)][static_cast<size_t>(k)] =
+                    ladder;
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    for (int k = 0; k < kRungs; ++k) {
+        const OutputLadder ladder = OutputLadder::single({2000 + k, 3000 + k});
+        for (int t = 0; t < kThreads; ++t)
+            EXPECT_EQ(
+                ladders[static_cast<size_t>(t)][static_cast<size_t>(k)],
+                ladder)
+                << "thread " << t << " rung " << k;
+    }
 }
 
 TEST(Work, MotOutputPixelsNearTwiceTopRung)

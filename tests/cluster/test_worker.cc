@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace wsva::cluster {
 namespace {
 
@@ -34,9 +36,10 @@ TEST(Worker, AssignReservesAndCompletionReleases)
     EXPECT_EQ(w.available().get(kResEncodeMillicores), 8000);
     EXPECT_EQ(w.runningSteps(), 1u);
 
-    auto done = w.collectFinished(9.0);
+    std::vector<StepOutcome> done;
+    w.collectFinished(9.0, done);
     EXPECT_TRUE(done.empty());
-    done = w.collectFinished(10.0);
+    w.collectFinished(10.0, done);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_TRUE(done[0].ok);
     EXPECT_FALSE(done[0].corrupt);
@@ -69,7 +72,8 @@ TEST(Worker, DisabledVcuFailsInFlightWork)
     w.bindVcu(&health);
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
     health.disabled = true;
-    auto done = w.collectFinished(1.0);
+    std::vector<StepOutcome> done;
+    w.collectFinished(1.0, done);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_FALSE(done[0].ok);
     EXPECT_FALSE(w.canFit(smallNeed()));
@@ -88,7 +92,8 @@ TEST(Worker, FaultDoesNotFailWorkFinishedBeforeIt)
     w.assign(smallStep(2), smallNeed(), 0.0, 30.0);
     health.markFaulted(20.0);
 
-    auto done = w.collectFinished(20.0);
+    std::vector<StepOutcome> done;
+    w.collectFinished(20.0, done);
     ASSERT_EQ(done.size(), 2u);
     const auto &first =
         done[0].step.id == 1 ? done[0] : done[1];
@@ -110,7 +115,8 @@ TEST(Worker, UntimestampedDisableFailsConservatively)
     w.bindVcu(&health);
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
     health.disabled = true;
-    auto done = w.collectFinished(15.0);
+    std::vector<StepOutcome> done;
+    w.collectFinished(15.0, done);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_FALSE(done[0].ok);
 }
@@ -124,7 +130,8 @@ TEST(Worker, SilentFaultCorruptsAndSpeedsUp)
     w.bindVcu(&health);
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
     // Finishes at 5.0 (speed factor 0.5), corrupt.
-    auto done = w.collectFinished(5.0);
+    std::vector<StepOutcome> done;
+    w.collectFinished(5.0, done);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_TRUE(done[0].ok);
     EXPECT_TRUE(done[0].corrupt);

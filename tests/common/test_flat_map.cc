@@ -7,7 +7,9 @@
  * the one wrap-around case nobody hand-writes.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -114,4 +116,39 @@ TEST(FlatMap64, DifferentialFuzzAgainstStdUnorderedMap)
                 << "batch " << batch << " key " << key;
         }
     }
+}
+
+/**
+ * Namespaced id streams, the simulator's real key shape: the regional
+ * traffic generators tag region r's step ids as ((r + 1) << 44) + n,
+ * and one cluster's SLO map holds its own stream interleaved with
+ * streams rerouted or spilled from other regions. Eight interleaved
+ * streams with 4,000 ids live and FIFO completion must keep every
+ * probe chain short; an identity home put step n of all eight streams
+ * on one slot and let displacement grow past 3,000.
+ */
+TEST(FlatMap64, NamespacedStreamsKeepProbeChainsShort)
+{
+    constexpr int kStreams = 8;
+    constexpr size_t kLive = 4000;
+    FlatMap64<uint64_t> map;
+    std::deque<uint64_t> live;
+    size_t worst = 0;
+    for (uint64_t n = 0; n < 3 * kLive; ++n) {
+        const uint64_t key =
+            (static_cast<uint64_t>(n % kStreams + 1) << 44) |
+            (n / kStreams);
+        map.insertOrAssign(key, n);
+        live.push_back(key);
+        if (live.size() > kLive) {
+            ASSERT_TRUE(map.erase(live.front()));
+            live.pop_front();
+        }
+        if (n % 1000 == 999)
+            worst = std::max(worst, map.maxDisplacement());
+    }
+    EXPECT_EQ(map.size(), kLive);
+    for (uint64_t key : live)
+        ASSERT_NE(map.find(key), nullptr) << key;
+    EXPECT_LE(worst, 32u);
 }
