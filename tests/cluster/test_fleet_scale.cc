@@ -194,7 +194,11 @@ TEST(FleetScale, ScrapesRaceTheEventLoopSafely)
 {
     // Concurrent /statusz-style scrapes while the event engine runs:
     // scrape threads may only touch the double-buffered board, which
-    // must stay coherent under the TSan preset.
+    // must stay coherent under the TSan preset. Only scrapes made
+    // while run() executes count. The scraper is running before the
+    // first run() starts, and on a loaded machine (where the scraper
+    // may not be scheduled before a run ends) the fleet keeps running
+    // in short slices, up to a bound, until a scrape overlaps one.
     ClusterConfig cfg;
     cfg.hosts = 8;
     cfg.vcus_per_host = 8;
@@ -204,19 +208,41 @@ TEST(FleetScale, ScrapesRaceTheEventLoopSafely)
     cfg.failure.host_fault_threshold = 2;
     ClusterSim sim(cfg);
 
+    std::atomic<bool> started{false};
     std::atomic<bool> stop{false};
+    // Odd while run() executes; bumped at every start and end, so a
+    // scrape that reads the same odd value on both sides of its
+    // snapshot ran entirely inside one run() call.
+    std::atomic<uint64_t> phase{0};
     std::atomic<uint64_t> scrapes{0};
     std::thread scraper([&] {
+        started.store(true, std::memory_order_release);
         while (!stop.load(std::memory_order_acquire)) {
+            const uint64_t before = phase.load(std::memory_order_acquire);
             const auto snap = sim.fleetHealth().snapshot();
             if (snap != nullptr) {
                 volatile size_t sink = snap->toText().size();
                 (void)sink;
-                scrapes.fetch_add(1, std::memory_order_relaxed);
+                if ((before & 1) != 0 &&
+                    phase.load(std::memory_order_acquire) == before)
+                    scrapes.fetch_add(1, std::memory_order_relaxed);
             }
         }
     });
-    const auto m = sim.run(600.0, 1.0, steadyArrivals(4));
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    const auto arrivals = steadyArrivals(4);
+    const auto run_slice = [&](double seconds) {
+        phase.fetch_add(1, std::memory_order_acq_rel);
+        const auto metrics = sim.run(seconds, 1.0, arrivals);
+        phase.fetch_add(1, std::memory_order_acq_rel);
+        return metrics;
+    };
+    const auto m = run_slice(600.0);
+    for (int slice = 0;
+         slice < 2000 && scrapes.load(std::memory_order_relaxed) == 0;
+         ++slice)
+        run_slice(10.0);
     stop.store(true, std::memory_order_release);
     scraper.join();
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/consistent_hash.h"
 #include "cluster/work.h"
 #include "workload/traffic.h"
 
@@ -142,6 +143,98 @@ TEST(GlobalRouter, LocalityRoutesToOriginWhenHealthy)
               router.submittedTotal());
     EXPECT_EQ(router.auditViolations(), 0u);
     EXPECT_EQ(router.routableRegions(), 2);
+}
+
+TEST(GlobalRouter, SpillOrderFollowsTheRing)
+{
+    // Pins pickRegion's candidate order: the preferred region, then
+    // the ring walk for the video id. The first candidate at or under
+    // spill_load_factor wins; when all are over, the least loaded
+    // wins, ties going to the first in ring order. One VCU per region
+    // makes the load signal the number of queued steps. Regions are
+    // loaded directly and never run, so the probes are the only
+    // routing decisions.
+    GlobalRouterConfig cfg;
+    cfg.regions = 4;
+    cfg.cluster.hosts = 1;
+    cfg.cluster.vcus_per_host = 1;
+    cfg.spill_load_factor = 2.0;
+    const uint64_t video = 77;
+    std::vector<int> walk;
+    for (int r : wsva::cluster::ConsistentHashRing({0, 1, 2, 3},
+                                                   cfg.ring_virtual_nodes)
+                     .affinitySet(video, 4)) {
+        if (r != 0)
+            walk.push_back(r);
+    }
+    ASSERT_EQ(walk.size(), 3u);
+
+    uint64_t next_id = 1;
+    const auto step_from = [&next_id, video](int origin) {
+        TranscodeStep step = makeMotStep(next_id++, video, 0, {1280, 720},
+                                         CodecType::H264);
+        step.origin_region = origin;
+        return step;
+    };
+    const auto load = [&step_from](GlobalRouter &router, int r, int n) {
+        for (int i = 0; i < n; ++i)
+            router.region(r).submit(step_from(-1));
+    };
+    // Routes one probe from origin 0; returns the region it landed in.
+    const auto probe = [&step_from](GlobalRouter &router) {
+        std::vector<uint64_t> before;
+        for (int r = 0; r < router.regions(); ++r)
+            before.push_back(router.status(r).routed);
+        router.submit(step_from(0));
+        for (int r = 0; r < router.regions(); ++r) {
+            if (router.status(r).routed != before[static_cast<size_t>(r)])
+                return r;
+        }
+        return -1;
+    };
+
+    {
+        // Preferred and the first ring region over; the second ring
+        // region sits exactly at the threshold and wins, ahead of the
+        // emptier third.
+        GlobalRouter router(cfg);
+        load(router, 0, 3);
+        load(router, walk[0], 3);
+        load(router, walk[1], 2);
+        EXPECT_EQ(probe(router), walk[1]);
+    }
+    {
+        // Every region over: the least loaded wins, and of the two
+        // tied at 3 the one earlier in ring order.
+        GlobalRouter router(cfg);
+        load(router, 0, 5);
+        load(router, walk[0], 4);
+        load(router, walk[1], 3);
+        load(router, walk[2], 3);
+        EXPECT_EQ(probe(router), walk[1]);
+    }
+    {
+        // A quarantined origin falls back to the ring primary of the
+        // regions still routable.
+        GlobalRouterConfig qcfg = cfg;
+        configureBlackHole(qcfg.cluster);
+        qcfg.spill_load_factor = 1e9;
+        qcfg.health.min_window_attempts = 1;
+        qcfg.health.min_quarantine_seconds = 1e9; // Never re-admit.
+        GlobalRouter router(qcfg);
+        router.region(0).forceSilentFaults(0.4);
+        for (const auto &step : regionZeroBurst(4))
+            router.submit(step);
+        for (int i = 0; i < 20 && !router.status(0).quarantined; ++i)
+            router.runFor(4.0);
+        ASSERT_TRUE(router.status(0).quarantined);
+        const int primary =
+            wsva::cluster::ConsistentHashRing({1, 2, 3},
+                                              qcfg.ring_virtual_nodes)
+                .affinitySet(video, 1)
+                .front();
+        EXPECT_EQ(probe(router), primary);
+    }
 }
 
 // ---- Satellite 4: fault-free global ledger equality -------------
