@@ -16,8 +16,9 @@
  *     sanity bound at full scale).
  *  3. Codec kernels: a real MOT transcode (synthetic clip through
  *     the software codec on the shared thread pool) with profiling
- *     on, ranking SAD/motion-search vs DCT/quant vs interpolation —
- *     the ordering that picks the SIMD targets for the next PR.
+ *     on, ranking every codec/ phase by its share of encode time
+ *     (the pipeline/encode_chunk phase: scaling plus encoding) —
+ *     the ordering that picks the SIMD targets.
  *
  * Emits JSON on stdout (`bench/run_benches.sh` redirects it into
  * BENCH_profile.json). Exits non-zero on a broken ledger, an empty
@@ -306,6 +307,12 @@ main()
         }
     }
     ok = ok && !kernels.empty();
+    // Shares are of encode time, so what the named phases leave
+    // unattributed shows as the gap to 100%.
+    const prof::PhaseStat *encode =
+        findPhase(codec_snap, "pipeline/encode_chunk");
+    const uint64_t encode_ns = encode != nullptr ? encode->incl_ns : 0;
+    ok = ok && encode_ns > 0;
 
     // --- Emit. ------------------------------------------------------
     std::printf("{\n");
@@ -365,9 +372,15 @@ main()
         "\"rungs\": 2},\n",
         spec.width, spec.height, spec.frame_count);
     std::printf("    \"transcode_wall_s\": %.3f,\n", codec_wall);
+    std::printf("    \"encode_incl_ms\": %.3f,\n",
+                static_cast<double>(encode_ns) / 1e6);
+    std::printf("    \"named_share_pct\": %.2f,\n",
+                encode_ns > 0 ? 100.0 *
+                                    static_cast<double>(kernel_total_excl) /
+                                    static_cast<double>(encode_ns)
+                              : 0.0);
     std::printf("    \"kernels\": %s,\n",
-                phasesJson(kernels, kTopK, kernel_total_excl, "      ")
-                    .c_str());
+                phasesJson(kernels, kTopK, encode_ns, "      ").c_str());
     std::printf("    \"top_simd_target\": \"%s\"\n",
                 kernels.empty() ? "" : kernels.front().name.c_str());
     std::printf("  },\n");

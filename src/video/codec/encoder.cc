@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/profiler.h"
 #include "video/codec/bitstream.h"
 #include "video/codec/entropy.h"
 #include "video/codec/golomb.h"
@@ -107,6 +108,8 @@ class Engine
                         const uint8_t *pred_u, const uint8_t *pred_v,
                         int qp, double lambda, int mode_bits,
                         Candidate &cand) const;
+    void predictInter(const Candidate &cand, int x, int y, uint8_t *pred_y,
+                      uint8_t *pred_u, uint8_t *pred_v) const;
     void writeMb(SyntaxWriter &writer, const Candidate &cand,
                  FrameType type, Mv mvp) const;
 
@@ -123,6 +126,18 @@ class Engine
     uint64_t frame_counter_ = 0;
     EntropyModel model_;
 };
+
+void
+Engine::predictInter(const Candidate &cand, int x, int y, uint8_t *pred_y,
+                     uint8_t *pred_u, uint8_t *pred_v) const
+{
+    static const int kPhase = prof::phaseId("codec/inter_pred");
+    // Sampled: several candidates per macroblock.
+    prof::ProfScopeSampled prof_scope(kPhase, 16);
+    buildInterPrediction(refs_, cand.mv.data(), cand.ref.data(), cand.split,
+                         cand.compound, cand.ref2, cand.mv2, x, y, pred_y,
+                         pred_u, pred_v);
+}
 
 double
 Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
@@ -199,6 +214,11 @@ Candidate
 Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
                  FrameType type, int qp, double lambda)
 {
+    // Candidate evaluation outside the kernels below it (residuals,
+    // reconstruction, distortion and rate estimates). Motion search,
+    // the transform, and intra and inter prediction nest under it.
+    static const int kPhase = prof::phaseId("codec/mode_decision");
+    prof::ProfScope prof_scope(kPhase);
     const int x = mbx * kMbSize;
     const int y = mby * kMbSize;
 
@@ -223,9 +243,13 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
     const int intra_modes = std::clamp(tools_.num_intra_modes, 1, 4);
     for (int m = 0; m < intra_modes; ++m) {
         const IntraMode mode = kModes[m];
-        intraPredict(recon.y(), x, y, kMbSize, mode, pred_y);
-        intraPredict(recon.u(), x / 2, y / 2, kHalf, mode, pred_u);
-        intraPredict(recon.v(), x / 2, y / 2, kHalf, mode, pred_v);
+        {
+            static const int kIntraPhase = prof::phaseId("codec/intra");
+            prof::ProfScopeSampled intra_scope(kIntraPhase, 16);
+            intraPredict(recon.y(), x, y, kMbSize, mode, pred_y);
+            intraPredict(recon.u(), x / 2, y / 2, kHalf, mode, pred_u);
+            intraPredict(recon.v(), x / 2, y / 2, kHalf, mode, pred_v);
+        }
         Candidate cand;
         cand.inter = false;
         cand.imode = mode;
@@ -250,8 +274,7 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
         cand.inter = true;
         cand.ref = {kRefLast, kRefLast, kRefLast, kRefLast};
         cand.mv = {mvp, mvp, mvp, mvp};
-        buildInterPrediction(refs_, cand.mv.data(), cand.ref.data(), false,
-                             false, 0, Mv{}, x, y, pred_y, pred_u, pred_v);
+        predictInter(cand, x, y, pred_y, pred_u, pred_v);
         std::copy(pred_y, pred_y + kMbSize * kMbSize, cand.recon_y.begin());
         std::copy(pred_u, pred_u + kHalf * kHalf, cand.recon_u.begin());
         std::copy(pred_v, pred_v + kHalf * kHalf, cand.recon_v.begin());
@@ -332,8 +355,7 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
         cand.inter = true;
         cand.ref = {rs.slot, rs.slot, rs.slot, rs.slot};
         cand.mv = {rs.result.mv, rs.result.mv, rs.result.mv, rs.result.mv};
-        buildInterPrediction(refs_, cand.mv.data(), cand.ref.data(), false,
-                             false, 0, Mv{}, x, y, pred_y, pred_u, pred_v);
+        predictInter(cand, x, y, pred_y, pred_u, pred_v);
         int mode_bits = 2 + ueBits(static_cast<uint32_t>(rs.slot)) +
                         estimateSIntBits(rs.result.mv.x - mvp.x) +
                         estimateSIntBits(rs.result.mv.y - mvp.y) +
@@ -358,9 +380,7 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
         cand.mv = {r0.result.mv, r0.result.mv, r0.result.mv, r0.result.mv};
         cand.ref2 = r1.slot;
         cand.mv2 = r1.result.mv;
-        buildInterPrediction(refs_, cand.mv.data(), cand.ref.data(), false,
-                             true, cand.ref2, cand.mv2, x, y, pred_y,
-                             pred_u, pred_v);
+        predictInter(cand, x, y, pred_y, pred_u, pred_v);
         int mode_bits = 3 + ueBits(static_cast<uint32_t>(r0.slot)) +
                         ueBits(static_cast<uint32_t>(r1.slot)) +
                         estimateSIntBits(r0.result.mv.x - mvp.x) +
@@ -392,8 +412,7 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
                          estimateSIntBits(mr.mv.x - mvp.x) +
                          estimateSIntBits(mr.mv.y - mvp.y);
         }
-        buildInterPrediction(refs_, cand.mv.data(), cand.ref.data(), true,
-                             false, 0, Mv{}, x, y, pred_y, pred_u, pred_v);
+        predictInter(cand, x, y, pred_y, pred_u, pred_v);
         evalResidual(src_y, src_u, src_v, pred_y, pred_u, pred_v, qp,
                      lambda, mode_bits, cand);
         if (cand.cost < best.cost)
@@ -461,6 +480,8 @@ Engine::encodeFrame(const Frame &display_src, int display_idx,
                     FrameType type, const FrameHeader &hdr_flags,
                     StreamWriter &sw, EncodedChunk &chunk)
 {
+    static const int kEntropyPhase = prof::phaseId("codec/entropy");
+    static const int kDeblockPhase = prof::phaseId("codec/deblock");
     const int qp = rc_.pickQp(display_idx, type);
     const double lambda = rdLambda(qp, tools_.lambda_scale);
     const Frame src = padFrame(display_src, pw_, ph_);
@@ -483,7 +504,10 @@ Engine::encodeFrame(const Frame &display_src, int display_idx,
             const Mv mvp = mvPredictor(grid_, mb_cols_, mbx, mby);
             Candidate cand =
                 decideMb(src, recon, mbx, mby, type, qp, lambda);
-            writeMb(*writer, cand, type, mvp);
+            {
+                prof::ProfScopeSampled entropy_scope(kEntropyPhase, 16);
+                writeMb(*writer, cand, type, mvp);
+            }
 
             // Commit reconstruction.
             const int x = mbx * kMbSize;
@@ -510,15 +534,21 @@ Engine::encodeFrame(const Frame &display_src, int display_idx,
         }
     }
 
-    deblockFrame(recon, qp);
+    {
+        prof::ProfScope deblock_scope(kDeblockPhase);
+        deblockFrame(recon, qp);
+    }
 
-    if (cfg_.codec == CodecType::VP9)
-        model_.adapt();
-
+    std::vector<uint8_t> payload;
+    {
+        prof::ProfScope entropy_scope(kEntropyPhase);
+        if (cfg_.codec == CodecType::VP9)
+            model_.adapt();
+        payload = writer->finish();
+    }
     FrameHeader hdr = hdr_flags;
     hdr.type = type;
     hdr.qp = qp;
-    const auto payload = writer->finish();
     sw.addFrame(hdr, payload);
 
     ++frame_counter_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/profiler.h"
 #include "video/codec/mc.h"
 #include "video/codec/motion_search.h"
 
@@ -81,6 +82,10 @@ temporalFilter(const std::vector<Frame> &frames, int center, int strength,
                 "temporal filter center %d out of range", center);
     if (strength <= 0 || frames.size() < 2)
         return frames[static_cast<size_t>(center)];
+    // The alt-ref filter's own blending; its motion searches nest
+    // under it as codec/motion_search.
+    static const int kPhase = prof::phaseId("codec/temporal_filter");
+    prof::ProfScope prof_scope(kPhase);
 
     Frame result = frames[static_cast<size_t>(center)];
     for (int it = 0; it < iterations; ++it) {
