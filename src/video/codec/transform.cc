@@ -17,6 +17,8 @@ constexpr int kHalfTx = kTxSize / 2;
 constexpr int kStage1Shift = 6;
 constexpr int kStage2Shift = 2 * kBasisBits - kStage1Shift;
 constexpr int64_t kStage2Round = int64_t{1} << (kStage2Shift - 1);
+/** Fixed-point scale of the quantizer's reciprocal step. */
+constexpr int kQuantBits = 20;
 
 /** Integer DCT-II basis matrix, scaled by 2^kBasisBits. */
 using Basis = int32_t[kTxSize][kTxSize];
@@ -24,6 +26,7 @@ using Basis = int32_t[kTxSize][kTxSize];
 struct DctTables
 {
     Basis basis;
+    int32_t max_basis = 0; //!< Largest |basis| entry.
     int32_t dequant[kMaxQp + 1];
     int64_t quant_scale[kMaxQp + 1]; //!< round(2^20 / dequant).
     double step[kMaxQp + 1];         //!< qstep(qp).
@@ -38,6 +41,7 @@ struct DctTables
                     a * std::cos((2 * k + 1) * u * M_PI / (2.0 * kTxSize));
                 basis[u][k] = static_cast<int32_t>(
                     std::lround(v * (1 << kBasisBits)));
+                max_basis = std::max(max_basis, std::abs(basis[u][k]));
             }
         }
         // The butterflies read only part of each basis row and are
@@ -56,8 +60,8 @@ struct DctTables
             step[qp] = qstep(qp);
             dequant[qp] = std::max(1,
                 static_cast<int>(std::lround(step[qp])));
-            quant_scale[qp] = static_cast<int64_t>(
-                std::lround((1 << 20) / static_cast<double>(dequant[qp])));
+            quant_scale[qp] = static_cast<int64_t>(std::lround(
+                (1 << kQuantBits) / static_cast<double>(dequant[qp])));
         }
     }
 };
@@ -67,6 +71,13 @@ tables()
 {
     static const DctTables t;
     return t;
+}
+
+/** The quantizer's rounding offset, in its fixed-point scale. */
+int64_t
+deadzoneOffset(double deadzone)
+{
+    return static_cast<int64_t>(deadzone * (1 << kQuantBits));
 }
 
 // The 1-D kernels below are the partial butterflies of HEVC-style
@@ -233,11 +244,11 @@ quantize(const std::array<int32_t, kTxCoeffs> &coeffs, int qp,
 {
     const auto &t = tables();
     const int64_t scale = t.quant_scale[qp];
-    const auto offset = static_cast<int64_t>(deadzone * (1 << 20));
+    const int64_t offset = deadzoneOffset(deadzone);
     for (size_t i = 0; i < kTxCoeffs; ++i) {
         const int32_t c = coeffs[i];
         const int64_t mag = std::abs(static_cast<int64_t>(c));
-        const int64_t level = (mag * scale + offset) >> 20;
+        const int64_t level = (mag * scale + offset) >> kQuantBits;
         const auto clamped =
             static_cast<int16_t>(std::min<int64_t>(level, 32767));
         out[i] = c < 0 ? static_cast<int16_t>(-clamped) : clamped;
@@ -279,6 +290,31 @@ zigzagOrder()
     return order;
 }
 
+bool
+provablyZeroBlock(const ResidualBlock &residual, int qp, double deadzone)
+{
+    // With S_c column c's absolute sum and M the largest |basis|
+    // entry, stage 1 gives |tmp[u][c]| <= ceil(M * S_c / 64) (its >> 6
+    // floors), stage 2 gives |sum| <= B = M * sum_c ceil(M * S_c / 64),
+    // and its rounded shift gives |coeff| <= (B + 2^19) >> 20. The
+    // quantizer is monotone in |coeff|, so if that bound quantizes to
+    // zero, every coefficient does.
+    const auto &t = tables();
+    int64_t col_sum[kTxSize] = {};
+    for (int k = 0; k < kTxSize; ++k)
+        for (int c = 0; c < kTxSize; ++c)
+            col_sum[c] += std::abs(
+                static_cast<int32_t>(residual[static_cast<size_t>(
+                    k * kTxSize + c)]));
+    const int64_t m = t.max_basis;
+    int64_t stage1 = 0;
+    for (int c = 0; c < kTxSize; ++c)
+        stage1 += (m * col_sum[c] + (1 << kStage1Shift) - 1) >> kStage1Shift;
+    const int64_t max_coeff = (m * stage1 + kStage2Round) >> kStage2Shift;
+    return max_coeff * t.quant_scale[qp] + deadzoneOffset(deadzone) <
+           (int64_t{1} << kQuantBits);
+}
+
 int
 transformQuantize(const ResidualBlock &residual, int qp, double deadzone,
                   bool coeff_opt, double lambda, CoeffBlock &levels,
@@ -288,6 +324,13 @@ transformQuantize(const ResidualBlock &residual, int qp, double deadzone,
     // Sampled: one call per 8x8 block (hundreds of thousands per
     // clip), far too hot to clock every invocation.
     prof::ProfScopeSampled prof_scope(kPhase, 16);
+    // Exact: the trellis only clears levels, and an all-zero level
+    // block reconstructs to zeros (see reconstructResidual).
+    if (provablyZeroBlock(residual, qp, deadzone)) {
+        levels.fill(0);
+        recon_residual.fill(0);
+        return 0;
+    }
     std::array<int32_t, kTxCoeffs> freq;
     forwardDct(residual, freq);
     quantize(freq, qp, deadzone, levels);

@@ -50,10 +50,20 @@ void dequantize(const CoeffBlock &levels, int qp,
 const std::array<int, kTxCoeffs> &zigzagOrder();
 
 /**
+ * True when a bound on the forward DCT's output, taken from the
+ * block's per-column absolute sums, proves that quantize() turns
+ * every coefficient of @p residual into a zero level. Sufficient,
+ * not necessary: a block it cannot prove may still quantize to zero.
+ */
+bool provablyZeroBlock(const ResidualBlock &residual, int qp,
+                       double deadzone);
+
+/**
  * Full residual coding round trip used by both mode decision and the
  * final encode: transform, quantize, optionally drop trailing +-1
  * levels (the software profile's trellis step), and reconstruct the
- * residual once from the final levels.
+ * residual once from the final levels. Blocks provablyZeroBlock()
+ * covers skip all of it and come back as zeros, exactly.
  * @param coeff_opt Run the trellis step (Toolset::coeff_opt).
  * @param lambda RD lambda the trellis step weighs rate against.
  * @return Number of nonzero levels after the trellis step.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -277,6 +278,180 @@ TEST(TransformQuantize, TrellisReturnsFinalCountAndReconstructsFinalLevels)
     }
     // The inputs must actually exercise the trellis.
     EXPECT_GT(trimmed_blocks, 0);
+}
+
+// The prove-zero pre-check in transformQuantize must be invisible: at
+// every qp and at the profiles' deadzones (0.33-0.45) and beyond, the
+// call returns what the full path returns.
+constexpr double kDeadzones[] = {0.0, 0.33, 0.45, 0.49};
+
+/**
+ * Compares transformQuantize (trellis off) with the full path it
+ * stands for, built from forwardDct, quantize and
+ * reconstructResidual. Where provablyZeroBlock fires it also checks
+ * that the full path is all zero and that the trellis-on call is.
+ */
+testing::AssertionResult
+matchesFullPath(const ResidualBlock &in, int qp, double deadzone,
+                bool *fired = nullptr)
+{
+    Spectrum freq;
+    forwardDct(in, freq);
+    CoeffBlock want_levels;
+    quantize(freq, qp, deadzone, want_levels);
+    ResidualBlock want_recon;
+    reconstructResidual(want_levels, qp, want_recon);
+    const auto want_nz = static_cast<int>(std::count_if(
+        want_levels.begin(), want_levels.end(),
+        [](int16_t l) { return l != 0; }));
+
+    CoeffBlock levels;
+    ResidualBlock recon;
+    const int nz =
+        transformQuantize(in, qp, deadzone, false, 0.0, levels, recon);
+    if (levels != want_levels || recon != want_recon || nz != want_nz) {
+        return testing::AssertionFailure()
+               << "differs from the full path at qp " << qp
+               << " deadzone " << deadzone;
+    }
+    const bool proved = provablyZeroBlock(in, qp, deadzone);
+    if (fired != nullptr)
+        *fired = proved;
+    if (!proved)
+        return testing::AssertionSuccess();
+    if (want_nz != 0) {
+        return testing::AssertionFailure()
+               << "bound fired on a nonzero block at qp " << qp
+               << " deadzone " << deadzone;
+    }
+    // A lambda far above the trellis threshold (lambda * 5 > qstep^2).
+    const double lambda = 4.0 * qstep(qp) * qstep(qp);
+    CoeffBlock trellis_levels;
+    ResidualBlock trellis_recon;
+    const int trellis_nz = transformQuantize(in, qp, deadzone, true, lambda,
+                                             trellis_levels, trellis_recon);
+    const bool all_zero =
+        std::all_of(trellis_levels.begin(), trellis_levels.end(),
+                    [](int16_t l) { return l == 0; }) &&
+        std::all_of(trellis_recon.begin(), trellis_recon.end(),
+                    [](int16_t v) { return v == 0; });
+    if (trellis_nz != 0 || !all_zero) {
+        return testing::AssertionFailure()
+               << "trellis result not all zero at qp " << qp
+               << " deadzone " << deadzone;
+    }
+    return testing::AssertionSuccess();
+}
+
+ResidualBlock
+scaledPattern(const ResidualBlock &pattern, int amplitude)
+{
+    ResidualBlock out;
+    for (size_t i = 0; i < kTxCoeffs; ++i)
+        out[i] = static_cast<int16_t>(pattern[i] * amplitude);
+    return out;
+}
+
+TEST(TransformQuantize, PreCheckMatchesFullPathOneUnitEitherSideOfTheBound)
+{
+    // Sign patterns: an impulse, a flat block, and the basis-aligned
+    // patterns of ForwardMatchesAtStageOneInt32Bound.
+    std::vector<ResidualBlock> patterns;
+    ResidualBlock impulse;
+    impulse.fill(0);
+    impulse[0] = 1;
+    patterns.push_back(impulse);
+    ResidualBlock flat;
+    flat.fill(1);
+    patterns.push_back(flat);
+    const auto &b = reference().basis;
+    for (int u = 0; u < kTxSize; ++u) {
+        for (int v = 0; v < kTxSize; ++v) {
+            for (int polarity : {1, -1}) {
+                ResidualBlock p;
+                for (int k = 0; k < kTxSize; ++k)
+                    for (int c = 0; c < kTxSize; ++c)
+                        p[static_cast<size_t>(k * kTxSize + c)] =
+                            static_cast<int16_t>(polarity * sign(b[u][k]) *
+                                                 sign(b[v][c]));
+                patterns.push_back(p);
+            }
+        }
+    }
+
+    for (int qp = 0; qp <= kMaxQp; ++qp) {
+        for (double dz : kDeadzones) {
+            for (const auto &pattern : patterns) {
+                // Largest amplitude the bound still proves (the bound
+                // grows with the amplitude; zero always fires).
+                int lo = 0;
+                int hi = 32767;
+                ASSERT_FALSE(
+                    provablyZeroBlock(scaledPattern(pattern, hi), qp, dz));
+                while (hi - lo > 1) {
+                    const int mid = (lo + hi) / 2;
+                    if (provablyZeroBlock(scaledPattern(pattern, mid), qp,
+                                          dz))
+                        lo = mid;
+                    else
+                        hi = mid;
+                }
+                // Walk one residual unit at a time from amplitude lo
+                // toward lo + 1 until the bound stops firing.
+                ResidualBlock under = scaledPattern(pattern, lo);
+                ResidualBlock over = under;
+                for (size_t i = 0; i < kTxCoeffs; ++i) {
+                    if (pattern[i] == 0)
+                        continue;
+                    over[i] = static_cast<int16_t>(over[i] + pattern[i]);
+                    if (!provablyZeroBlock(over, qp, dz))
+                        break;
+                    under = over;
+                }
+                ASSERT_TRUE(provablyZeroBlock(under, qp, dz));
+                ASSERT_FALSE(provablyZeroBlock(over, qp, dz));
+                ASSERT_TRUE(matchesFullPath(under, qp, dz));
+                ASSERT_TRUE(matchesFullPath(over, qp, dz));
+            }
+        }
+    }
+}
+
+TEST(TransformQuantize, PreCheckMatchesFullPathOnRandomBlocks)
+{
+    wsva::Rng rng(24);
+    int fired_count = 0;
+    int full_count = 0;
+    for (int qp = 0; qp <= kMaxQp; ++qp) {
+        for (double dz : kDeadzones) {
+            for (int amplitude = 1; amplitude <= 255; ++amplitude) {
+                bool fired = false;
+                ASSERT_TRUE(matchesFullPath(randomResidual(rng, amplitude),
+                                            qp, dz, &fired))
+                    << "amplitude " << amplitude;
+                ++(fired ? fired_count : full_count);
+            }
+        }
+    }
+    // Both sides of the pre-check must be exercised.
+    EXPECT_GT(fired_count, 0);
+    EXPECT_GT(full_count, 0);
+}
+
+TEST(TransformQuantize, PreCheckIsSufficientNotNecessary)
+{
+    // A flat block of 10s at qp 63: its only coefficient is DC = 80,
+    // which quantizes to zero, but the bound (about twice the true DC
+    // for flat content) cannot prove it.
+    ResidualBlock flat;
+    flat.fill(10);
+    EXPECT_FALSE(provablyZeroBlock(flat, kMaxQp, 0.33));
+    CoeffBlock levels;
+    ResidualBlock recon;
+    EXPECT_EQ(transformQuantize(flat, kMaxQp, 0.33, true, 0.0, levels,
+                                recon),
+              0);
+    EXPECT_TRUE(matchesFullPath(flat, kMaxQp, 0.33));
 }
 
 TEST(Dct, DcOfFlatBlock)
