@@ -18,19 +18,16 @@ namespace {
 
 constexpr int kHalf = kMbSize / 2;
 
-/** Crop a padded frame back to display dimensions. */
+/** Crop a padded, bordered frame to a plain display-sized one. */
 Frame
 cropFrame(const Frame &src, int w, int h)
 {
-    if (src.width() == w && src.height() == h)
-        return src;
     Frame out(w, h);
     for (int p = 0; p < 3; ++p) {
         const Plane &s = src.plane(p);
         Plane &d = out.plane(p);
         for (int y = 0; y < d.height(); ++y)
-            for (int x = 0; x < d.width(); ++x)
-                d.at(x, y) = s.at(x, y);
+            std::copy_n(s.row(y), d.width(), d.row(y));
     }
     return out;
 }
@@ -45,8 +42,7 @@ class DecoderEngine
           mb_cols_(pw_ / kMbSize), mb_rows_(ph_ / kMbSize),
           grid_(static_cast<size_t>(mb_cols_ * mb_rows_))
     {
-        for (auto &r : refs_)
-            r = Frame(pw_, ph_, 128);
+        refs_.fill(std::make_shared<const Frame>(pw_, ph_, 128, kRefBorder));
     }
 
     /** Decode one frame record; returns false on corrupt payload. */
@@ -64,7 +60,7 @@ class DecoderEngine
     int mb_cols_;
     int mb_rows_;
     std::vector<MbNeighbor> grid_;
-    std::array<Frame, kNumRefSlots> refs_;
+    RefFrames refs_;
     EntropyModel model_;
 };
 
@@ -241,18 +237,21 @@ DecoderEngine::decodeFrame(const FrameHeader &hdr,
     SyntaxReader &rd =
         reader ? *reader : static_cast<SyntaxReader &>(*golomb_reader);
 
-    Frame recon(pw_, ph_, 128);
+    // As in the encoder: one bordered frame, shared by the slots it
+    // updates.
+    auto recon = std::make_shared<Frame>(pw_, ph_, 128, kRefBorder);
     for (auto &nb : grid_)
         nb = MbNeighbor{};
 
     for (int mby = 0; mby < mb_rows_; ++mby)
         for (int mbx = 0; mbx < mb_cols_; ++mbx)
-            decodeMb(rd, recon, mbx, mby, hdr);
+            decodeMb(rd, *recon, mbx, mby, hdr);
 
     if (golomb_reader && golomb_reader->overrun())
         return false;
 
-    deblockFrame(recon, hdr.qp);
+    deblockFrame(*recon, hdr.qp);
+    recon->extendBorder();
 
     if (seq_.codec == CodecType::VP9)
         model_.adapt();
@@ -265,7 +264,7 @@ DecoderEngine::decodeFrame(const FrameHeader &hdr,
         refs_[kRefAltRef] = recon;
 
     if (hdr.show)
-        output.push_back(cropFrame(recon, seq_.width, seq_.height));
+        output.push_back(cropFrame(*recon, seq_.width, seq_.height));
     return true;
 }
 

@@ -32,8 +32,10 @@ padFrame(const Frame &src, int pw, int ph)
         const Plane &s = src.plane(p);
         Plane &d = out.plane(p);
         for (int y = 0; y < d.height(); ++y) {
-            for (int x = 0; x < d.width(); ++x)
-                d.at(x, y) = s.clampedAt(x, y);
+            const uint8_t *from = s.row(std::min(y, s.height() - 1));
+            uint8_t *to = d.row(y);
+            std::copy(from, from + s.width(), to);
+            std::fill(to + s.width(), to + d.width(), from[s.width() - 1]);
         }
     }
     return out;
@@ -90,8 +92,7 @@ class Engine
           mb_cols_(pw_ / kMbSize), mb_rows_(ph_ / kMbSize),
           grid_(static_cast<size_t>(mb_cols_ * mb_rows_))
     {
-        for (auto &r : refs_)
-            r = Frame(pw_, ph_, 128);
+        refs_.fill(std::make_shared<const Frame>(pw_, ph_, 128, kRefBorder));
         ref_gen_.fill(0);
     }
 
@@ -121,7 +122,7 @@ class Engine
     int mb_cols_;
     int mb_rows_;
     std::vector<MbNeighbor> grid_;
-    std::array<Frame, kNumRefSlots> refs_;
+    RefFrames refs_;
     std::array<uint64_t, kNumRefSlots> ref_gen_;
     uint64_t frame_counter_ = 0;
     EntropyModel model_;
@@ -315,7 +316,7 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
         auto &rs = searches[static_cast<size_t>(slot)];
         rs.slot = slot;
         rs.result = searchMotion(src.y(),
-                                 refs_[static_cast<size_t>(slot)].y(), x, y,
+                                 refs_[static_cast<size_t>(slot)]->y(), x, y,
                                  kMbSize, mvp, tools_.search_range,
                                  tools_.search_kind);
         rs.valid = true;
@@ -404,7 +405,7 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
             const int qx = (q % 2) * 8;
             const int qy = (q / 2) * 8;
             const MotionResult mr = searchMotion(
-                src.y(), refs_[static_cast<size_t>(slot)].y(), x + qx,
+                src.y(), refs_[static_cast<size_t>(slot)]->y(), x + qx,
                 y + qy, 8, mvp, tools_.search_range, tools_.search_kind);
             cand.mv[static_cast<size_t>(q)] = mr.mv;
             cand.ref[static_cast<size_t>(q)] = slot;
@@ -495,7 +496,10 @@ Engine::encodeFrame(const Frame &display_src, int display_idx,
     else
         writer = std::make_unique<GolombSyntaxWriter>();
 
-    Frame recon(pw_, ph_, 128);
+    // Reconstructed straight into a bordered frame, which becomes the
+    // reference of every slot this frame updates.
+    auto recon_frame = std::make_shared<Frame>(pw_, ph_, 128, kRefBorder);
+    Frame &recon = *recon_frame;
     for (auto &nb : grid_)
         nb = MbNeighbor{};
 
@@ -538,6 +542,7 @@ Engine::encodeFrame(const Frame &display_src, int display_idx,
         prof::ProfScope deblock_scope(kDeblockPhase);
         deblockFrame(recon, qp);
     }
+    recon.extendBorder();
 
     std::vector<uint8_t> payload;
     {
@@ -553,15 +558,15 @@ Engine::encodeFrame(const Frame &display_src, int display_idx,
 
     ++frame_counter_;
     if (hdr.update_last) {
-        refs_[kRefLast] = recon;
+        refs_[kRefLast] = recon_frame;
         ref_gen_[kRefLast] = frame_counter_;
     }
     if (hdr.update_golden) {
-        refs_[kRefGolden] = recon;
+        refs_[kRefGolden] = recon_frame;
         ref_gen_[kRefGolden] = frame_counter_;
     }
     if (hdr.update_altref) {
-        refs_[kRefAltRef] = recon;
+        refs_[kRefAltRef] = recon_frame;
         ref_gen_[kRefAltRef] = frame_counter_;
     }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "video/codec/mc.h"
 
 namespace wsva::video::codec {
 
@@ -13,16 +14,33 @@ intraPredict(const Plane &recon, int x, int y, int n, IntraMode mode,
     const bool has_top = y > 0;
     const bool has_left = x > 0;
 
-    // Gather neighbors (clamped to plane edges on the far side).
+    // Gather neighbors (clamped to plane edges on the far side). Only
+    // the visible pixels count as inside: the margin of a plane under
+    // reconstruction is not extended yet.
+    const auto gather = [&recon](int px, int py, int w, int h,
+                                 uint8_t *out) {
+        if (px >= 0 && py >= 0 && px + w <= recon.width() &&
+            py + h <= recon.height()) {
+            for (int r = 0; r < h; ++r)
+                std::copy_n(recon.row(py + r) + px, w, out + r * w);
+        } else {
+            emulateEdge(recon, px, py, w, h, out);
+        }
+    };
     uint8_t top[64];
     uint8_t left[64];
+    uint8_t corner = 128;
     WSVA_ASSERT(n <= 64, "intra block too large");
-    for (int i = 0; i < n; ++i) {
-        top[i] = has_top ? recon.clampedAt(x + i, y - 1) : 128;
-        left[i] = has_left ? recon.clampedAt(x - 1, y + i) : 128;
-    }
-    const uint8_t corner =
-        (has_top && has_left) ? recon.at(x - 1, y - 1) : 128;
+    if (has_top)
+        gather(x, y - 1, n, 1, top);
+    else
+        std::fill_n(top, n, 128);
+    if (has_left)
+        gather(x - 1, y, 1, n, left);
+    else
+        std::fill_n(left, n, 128);
+    if (has_top && has_left)
+        gather(x - 1, y - 1, 1, 1, &corner);
 
     switch (mode) {
       case IntraMode::Dc: {

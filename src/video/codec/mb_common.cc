@@ -64,20 +64,20 @@ chromaMv(Mv luma_mv)
 }
 
 void
-buildInterPrediction(const std::array<Frame, kNumRefSlots> &refs,
+buildInterPrediction(const RefFrames &refs,
                      const Mv *mvs, const int *ref_idx, bool split,
                      bool compound, int ref2, Mv mv2, int x, int y,
                      uint8_t *pred_y, uint8_t *pred_u, uint8_t *pred_v)
 {
     constexpr int kHalf = kMbSize / 2;
     if (!split) {
-        const Frame &ref = refs[static_cast<size_t>(ref_idx[0])];
+        const Frame &ref = *refs[static_cast<size_t>(ref_idx[0])];
         motionCompensate(ref.y(), x, y, kMbSize, mvs[0], pred_y);
         const Mv cmv = chromaMv(mvs[0]);
         motionCompensate(ref.u(), x / 2, y / 2, kHalf, cmv, pred_u);
         motionCompensate(ref.v(), x / 2, y / 2, kHalf, cmv, pred_v);
         if (compound) {
-            const Frame &r2 = refs[static_cast<size_t>(ref2)];
+            const Frame &r2 = *refs[static_cast<size_t>(ref2)];
             uint8_t alt_y[kMbSize * kMbSize];
             uint8_t alt_u[kHalf * kHalf];
             uint8_t alt_v[kHalf * kHalf];
@@ -104,7 +104,7 @@ buildInterPrediction(const std::array<Frame, kNumRefSlots> &refs,
     for (int q = 0; q < 4; ++q) {
         const int qx = (q % 2) * 8;
         const int qy = (q / 2) * 8;
-        const Frame &ref = refs[static_cast<size_t>(ref_idx[q])];
+        const Frame &ref = *refs[static_cast<size_t>(ref_idx[q])];
         motionCompensate(ref.y(), x + qx, y + qy, 8, mvs[q], part);
         for (int r = 0; r < 8; ++r) {
             for (int c = 0; c < 8; ++c)

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "video/codec/entropy.h"
@@ -31,6 +32,21 @@ enum RefSlot : int {
     kRefAltRef = 2,
     kNumRefSlots = 3,
 };
+
+/**
+ * Luma margin of reconstructed frames (chroma gets half). It covers
+ * the default search range (16) plus a macroblock plus the half-pel
+ * tap (33), with room for a search centered on a neighbor's vector,
+ * and is a multiple of 16 so rows stay 16-byte aligned. Reads past
+ * it still work: they take the edge-emulation fetch.
+ */
+constexpr int kRefBorder = 48;
+
+/**
+ * Reference frames indexed by RefSlot. Each reconstruction is one
+ * border-extended frame that every slot it updates shares.
+ */
+using RefFrames = std::array<std::shared_ptr<const Frame>, kNumRefSlots>;
 
 /** Per-macroblock state needed for neighbor-based prediction. */
 struct MbNeighbor
@@ -59,7 +75,7 @@ Mv chromaMv(Mv luma_mv);
  * @param x,y Luma position of the macroblock.
  * @param pred_y 256-sample output; @p pred_u, @p pred_v 64 samples.
  */
-void buildInterPrediction(const std::array<Frame, kNumRefSlots> &refs,
+void buildInterPrediction(const RefFrames &refs,
                           const Mv *mvs, const int *ref_idx, bool split,
                           bool compound, int ref2, Mv mv2, int x, int y,
                           uint8_t *pred_y, uint8_t *pred_u, uint8_t *pred_v);

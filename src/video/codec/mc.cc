@@ -7,6 +7,18 @@
 namespace wsva::video::codec {
 
 void
+emulateEdge(const Plane &src, int x, int y, int w, int h, uint8_t *out)
+{
+    const int max_x = src.width() - 1;
+    const int max_y = src.height() - 1;
+    for (int r = 0; r < h; ++r) {
+        const uint8_t *row = src.row(std::clamp(y + r, 0, max_y));
+        for (int c = 0; c < w; ++c)
+            out[r * w + c] = row[std::clamp(x + c, 0, max_x)];
+    }
+}
+
+void
 extractBlock(const Plane &src, int x, int y, int n, uint8_t *out)
 {
     fetchPatch(src, x, y, n, n, out);
@@ -21,30 +33,29 @@ motionCompensate(const Plane &ref, int x, int y, int n, Mv mv, uint8_t *out)
     const bool half_y = mv.y & 1;
 
     if (!half_x && !half_y) {
-        extractBlock(ref, ix, iy, n, out);
+        fetchPatch(ref, ix, iy, n, n, out);
         return;
     }
 
-    // Bilinear half-pel: fetch an (n+1) x (n+1) patch then filter.
-    uint8_t patch[65 * 65];
+    // Bilinear half-pel over an (n+1) x (n+1) window, read in place.
     WSVA_ASSERT(n <= 64, "MC block too large");
-    const int pn = n + 1;
-    fetchPatch(ref, ix, iy, pn, pn, patch);
-
+    uint8_t scratch[65 * 65];
+    int stride = 0;
+    const uint8_t *p = readWindow(ref, ix, iy, n + 1, n + 1, scratch, stride);
     for (int r = 0; r < n; ++r) {
-        for (int c = 0; c < n; ++c) {
-            const int p00 = patch[r * pn + c];
-            const int p01 = patch[r * pn + c + 1];
-            const int p10 = patch[(r + 1) * pn + c];
-            const int p11 = patch[(r + 1) * pn + c + 1];
-            int v;
-            if (half_x && half_y)
-                v = (p00 + p01 + p10 + p11 + 2) >> 2;
-            else if (half_x)
-                v = (p00 + p01 + 1) >> 1;
-            else
-                v = (p00 + p10 + 1) >> 1;
-            out[r * n + c] = static_cast<uint8_t>(v);
+        const uint8_t *p0 = p + r * stride;
+        const uint8_t *p1 = p0 + stride;
+        uint8_t *o = out + r * n;
+        if (half_x && half_y) {
+            for (int c = 0; c < n; ++c)
+                o[c] = static_cast<uint8_t>(
+                    (p0[c] + p0[c + 1] + p1[c] + p1[c + 1] + 2) >> 2);
+        } else if (half_x) {
+            for (int c = 0; c < n; ++c)
+                o[c] = static_cast<uint8_t>((p0[c] + p0[c + 1] + 1) >> 1);
+        } else {
+            for (int c = 0; c < n; ++c)
+                o[c] = static_cast<uint8_t>((p0[c] + p1[c] + 1) >> 1);
         }
     }
 }
@@ -79,27 +90,16 @@ uint32_t
 sadAgainstBlock(const uint8_t *cur, const Plane &ref, int rx, int ry,
                 int n, uint32_t bound)
 {
-    const bool inside = rx >= 0 && ry >= 0 && rx + n <= ref.width() &&
-                        ry + n <= ref.height();
+    WSVA_ASSERT(n <= 64, "SAD block too large");
+    uint8_t scratch[64 * 64];
+    int stride = 0;
+    const uint8_t *p = readWindow(ref, rx, ry, n, n, scratch, stride);
     uint32_t acc = 0;
-    if (inside) {
-        for (int r = 0; r < n; ++r) {
-            const uint8_t *s = cur + r * n;
-            const uint8_t *p = ref.row(ry + r) + rx;
-            for (int c = 0; c < n; ++c)
-                acc += static_cast<uint32_t>(
-                    std::abs(int(s[c]) - int(p[c])));
-            if (acc >= bound)
-                return acc;
-        }
-        return acc;
-    }
     for (int r = 0; r < n; ++r) {
         const uint8_t *s = cur + r * n;
-        for (int c = 0; c < n; ++c) {
-            const int p = ref.clampedAt(rx + c, ry + r);
-            acc += static_cast<uint32_t>(std::abs(int(s[c]) - p));
-        }
+        const uint8_t *q = p + r * stride;
+        for (int c = 0; c < n; ++c)
+            acc += static_cast<uint32_t>(std::abs(int(s[c]) - int(q[c])));
         if (acc >= bound)
             return acc;
     }
@@ -122,27 +122,21 @@ uint32_t
 sadAt(const Plane &src, const Plane &ref, int x, int y, int n, int dx,
       int dy)
 {
-    const int rx = x + dx;
-    const int ry = y + dy;
-    const bool inside = rx >= 0 && ry >= 0 && rx + n <= ref.width() &&
-                        ry + n <= ref.height() && x + n <= src.width() &&
-                        y + n <= src.height();
+    WSVA_ASSERT(n <= 64, "SAD block too large");
+    uint8_t src_scratch[64 * 64];
+    uint8_t ref_scratch[64 * 64];
+    int src_stride = 0;
+    int ref_stride = 0;
+    const uint8_t *s =
+        readWindow(src, x, y, n, n, src_scratch, src_stride);
+    const uint8_t *p =
+        readWindow(ref, x + dx, y + dy, n, n, ref_scratch, ref_stride);
     uint32_t acc = 0;
-    if (inside) {
-        for (int r = 0; r < n; ++r) {
-            const uint8_t *s = src.row(y + r) + x;
-            const uint8_t *p = ref.row(ry + r) + rx;
-            for (int c = 0; c < n; ++c)
-                acc += static_cast<uint32_t>(std::abs(int(s[c]) - int(p[c])));
-        }
-        return acc;
-    }
     for (int r = 0; r < n; ++r) {
-        for (int c = 0; c < n; ++c) {
-            const int s = src.clampedAt(x + c, y + r);
-            const int p = ref.clampedAt(rx + c, ry + r);
-            acc += static_cast<uint32_t>(std::abs(s - p));
-        }
+        const uint8_t *sr = s + r * src_stride;
+        const uint8_t *pr = p + r * ref_stride;
+        for (int c = 0; c < n; ++c)
+            acc += static_cast<uint32_t>(std::abs(int(sr[c]) - int(pr[c])));
     }
     return acc;
 }

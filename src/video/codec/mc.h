@@ -26,39 +26,72 @@ struct Mv
 };
 
 /**
+ * Edge emulation, the one per-pixel clamp on the codec's read path:
+ * copy the w x h window of @p src at (x, y) into @p out (row stride
+ * w) with every coordinate clamped into the visible plane, the way
+ * ffmpeg's emulated_edge_mc builds an overhanging block. Since a
+ * margin replicates the edge, this equals reading an extended margin
+ * in place.
+ */
+void emulateEdge(const Plane &src, int x, int y, int w, int h,
+                 uint8_t *out);
+
+/** True when the w x h window at (x, y) lies within @p src's margin. */
+inline bool
+withinMargin(const Plane &src, int x, int y, int w, int h)
+{
+    const int b = src.border();
+    return x >= -b && y >= -b && x + w <= src.width() + b &&
+           y + h <= src.height() + b;
+}
+
+/**
+ * The w x h window of @p src at (x, y) as rows: in place (row stride
+ * src.stride()) when it lies within the margin, else edge-emulated
+ * into @p scratch (row stride w). @p stride receives the row stride.
+ * A margin must have been extended (Plane::extendBorder) to be read.
+ */
+inline const uint8_t *
+readWindow(const Plane &src, int x, int y, int w, int h, uint8_t *scratch,
+           int &stride)
+{
+    if (withinMargin(src, x, y, w, h)) {
+        stride = src.stride();
+        return src.row(y) + x;
+    }
+    emulateEdge(src, x, y, w, h, scratch);
+    stride = w;
+    return scratch;
+}
+
+/**
  * Copy a w x h patch from @p src at (x, y) into @p out (row stride
- * w). The common in-frame case is a straight row copy; out-of-frame
- * samples are edge-clamped. This is the one shared fetch used by
- * extractBlock and motionCompensate (one copy of the bounds logic,
- * no divergence risk), inlined because it sits inside the motion
- * search inner loops.
+ * w): row copies within the margin, edge emulation beyond it. The
+ * one shared fetch of extractBlock and motionCompensate, inlined
+ * because it sits inside the motion search inner loops.
  */
 inline void
 fetchPatch(const Plane &src, int x, int y, int w, int h, uint8_t *out)
 {
-    const bool inside = x >= 0 && y >= 0 && x + w <= src.width() &&
-                        y + h <= src.height();
-    if (inside) {
-        for (int r = 0; r < h; ++r) {
-            const uint8_t *row = src.row(y + r) + x;
-            std::copy(row, row + w, out + r * w);
-        }
+    if (!withinMargin(src, x, y, w, h)) {
+        emulateEdge(src, x, y, w, h, out);
         return;
     }
-    for (int r = 0; r < h; ++r)
-        for (int c = 0; c < w; ++c)
-            out[r * w + c] = src.clampedAt(x + c, y + r);
+    for (int r = 0; r < h; ++r) {
+        const uint8_t *row = src.row(y + r) + x;
+        std::copy(row, row + w, out + r * w);
+    }
 }
 
 /**
  * Sample an n x n motion-compensated prediction from @p ref at block
  * position (x, y) displaced by @p mv (half-pel). Out-of-frame samples
- * are edge-clamped.
+ * are edge-clamped. Any int16 vector is valid.
  */
 void motionCompensate(const Plane &ref, int x, int y, int n, Mv mv,
                       uint8_t *out);
 
-/** Copy an n x n source block (edge-clamped) into @p out. */
+/** Copy an n x n block (edge-clamped) into @p out. */
 void extractBlock(const Plane &src, int x, int y, int n, uint8_t *out);
 
 /** Sum of absolute differences between two n*n sample arrays. */
@@ -75,9 +108,10 @@ uint32_t blockSadBounded(const uint8_t *a, const uint8_t *b, int n,
 
 /**
  * SAD between a cached n x n source block @p cur (row stride n) and
- * the block of @p ref at (rx, ry), with the same early-exit contract
- * as blockSadBounded. The motion-search workhorse: the source block
- * is fetched once per macroblock instead of once per candidate.
+ * the (edge-clamped) block of @p ref at (rx, ry), with the same
+ * early-exit contract as blockSadBounded. The motion-search
+ * workhorse: the source block is fetched once per macroblock instead
+ * of once per candidate. n <= 64.
  */
 uint32_t sadAgainstBlock(const uint8_t *cur, const Plane &ref, int rx,
                          int ry, int n, uint32_t bound);
@@ -86,9 +120,8 @@ uint32_t sadAgainstBlock(const uint8_t *cur, const Plane &ref, int rx,
 uint64_t blockSse(const uint8_t *a, const uint8_t *b, int n);
 
 /**
- * SAD between the n x n source block at (x, y) in @p src and the
- * integer-pel displaced block in @p ref; the workhorse of integer
- * motion search (avoids materializing prediction buffers).
+ * SAD between the n x n block at (x, y) in @p src and the
+ * integer-pel displaced block in @p ref, both edge-clamped. n <= 64.
  */
 uint32_t sadAt(const Plane &src, const Plane &ref, int x, int y, int n,
                int dx, int dy);

@@ -14,19 +14,41 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
+
 namespace wsva::video {
 
-/** One 8-bit image plane with edge-clamped sampling helpers. */
+/**
+ * One 8-bit image plane with edge-clamped sampling helpers.
+ *
+ * A plane may carry a margin of border() pixels on every side. The
+ * margin holds copies of the nearest edge pixel once extendBorder()
+ * has run, so a reader may address any pixel within border() of the
+ * plane in place and get what clampedAt() would return. Reference
+ * planes carry one so that motion search and motion compensation read
+ * blocks that overhang an edge as plain rows. width(), height(), at()
+ * and operator== speak of the visible pixels only; plain planes
+ * (border 0) are stored in raster order with no padding.
+ */
 class Plane
 {
   public:
     Plane() = default;
 
-    /** Construct a plane of the given size filled with @p fill. */
-    Plane(int width, int height, uint8_t fill = 0);
+    /**
+     * Construct a plane of the given size, every pixel (the margin
+     * too) set to @p fill.
+     */
+    Plane(int width, int height, uint8_t fill = 0, int border = 0);
 
     int width() const { return width_; }
     int height() const { return height_; }
+
+    /** Margin width on each side; 0 for a plain plane. */
+    int border() const { return border_; }
+
+    /** Distance between vertically adjacent pixels, in bytes. */
+    int stride() const { return stride_; }
 
     /** Mutable pixel access; (x, y) must be in bounds. */
     uint8_t &at(int x, int y) { return data_[idx(x, y)]; }
@@ -37,31 +59,64 @@ class Plane
     /** Pixel access with coordinates clamped to the plane edges. */
     uint8_t clampedAt(int x, int y) const;
 
-    /** Raw row pointer. */
+    /**
+     * Pointer to pixel (0, y). Rows and columns up to border() pixels
+     * outside the plane are addressable from it.
+     */
     uint8_t *row(int y) { return data_.data() + idx(0, y); }
     const uint8_t *row(int y) const { return data_.data() + idx(0, y); }
 
-    /** Fill the whole plane with one value. */
+    /** Fill the whole plane, margin included, with one value. */
     void fill(uint8_t value);
 
-    /** Number of pixels. */
-    size_t pixelCount() const { return data_.size(); }
+    /**
+     * Copy the edge pixels across the margin. Call it after the last
+     * write to the visible pixels; until then the margin is stale.
+     */
+    void extendBorder();
 
-    /** Underlying storage (raster order, no padding). */
-    const std::vector<uint8_t> &data() const { return data_; }
-    std::vector<uint8_t> &data() { return data_; }
+    /** Number of pixels; plain planes only. */
+    size_t pixelCount() const
+    {
+        requirePlain();
+        return data_.size();
+    }
 
-    bool operator==(const Plane &other) const = default;
+    /** Underlying storage (raster order, no padding); plain planes
+     *  only, since a bordered plane's storage holds its margin too. */
+    const std::vector<uint8_t> &data() const
+    {
+        requirePlain();
+        return data_;
+    }
+    std::vector<uint8_t> &data()
+    {
+        requirePlain();
+        return data_;
+    }
+
+    /** Same size and visible pixels; margins are not compared. */
+    bool operator==(const Plane &other) const;
 
   private:
     size_t idx(int x, int y) const
     {
-        return static_cast<size_t>(y) * static_cast<size_t>(width_) +
-               static_cast<size_t>(x);
+        return static_cast<size_t>(static_cast<ptrdiff_t>(origin_) +
+                                   static_cast<ptrdiff_t>(y) * stride_ + x);
+    }
+
+    void requirePlain() const
+    {
+        WSVA_ASSERT(border_ == 0,
+                    "raster access to a plane with a %d-pixel margin",
+                    border_);
     }
 
     int width_ = 0;
     int height_ = 0;
+    int border_ = 0;
+    int stride_ = 0;
+    size_t origin_ = 0; //!< Storage index of pixel (0, 0).
     std::vector<uint8_t> data_;
 };
 
@@ -74,8 +129,10 @@ class Frame
     /**
      * Construct a frame of the given luma dimensions (must be even),
      * with luma filled with @p luma_fill and chroma neutral (128).
+     * The luma planes get a margin of @p luma_border pixels, the
+     * chroma planes half of it.
      */
-    Frame(int width, int height, uint8_t luma_fill = 0);
+    Frame(int width, int height, uint8_t luma_fill = 0, int luma_border = 0);
 
     int width() const { return y_.width(); }
     int height() const { return y_.height(); }
@@ -100,6 +157,9 @@ class Frame
 
     /** True if dimensions are set and consistent for 4:2:0. */
     bool valid() const;
+
+    /** Plane::extendBorder on all three planes. */
+    void extendBorder();
 
     bool operator==(const Frame &other) const = default;
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 namespace wsva::video::codec {
 namespace {
 
@@ -101,6 +104,40 @@ TEST(Intra, WorksAt16x16)
     intraPredict(p, 16, 0, 16, IntraMode::Horizontal, out);
     for (int r = 0; r < 16; ++r)
         ASSERT_EQ(out[r * 16 + 5], p.at(15, r));
+}
+
+TEST(Intra, ClampsNeighborsThatOverhangThePlane)
+{
+    // Blocks that run past the right or bottom edge, or start beyond
+    // it, read their neighbors clamped to the plane, margin or not.
+    const Plane plain = gradientPlane();
+    Plane bordered(32, 32, 0, 8);
+    for (int y = 0; y < 32; ++y)
+        for (int x = 0; x < 32; ++x)
+            bordered.at(x, y) = plain.at(x, y);
+    for (const auto &pos : {std::array<int, 2>{28, 8},
+                            std::array<int, 2>{8, 28},
+                            std::array<int, 2>{28, 28},
+                            std::array<int, 2>{40, 36}}) {
+        const int x = pos[0];
+        const int y = pos[1];
+        uint8_t tm[64];
+        intraPredict(bordered, x, y, 8, IntraMode::TrueMotion, tm);
+        for (int r = 0; r < 8; ++r) {
+            for (int c = 0; c < 8; ++c) {
+                const int want = std::clamp(
+                    plain.clampedAt(x - 1, y + r) +
+                        plain.clampedAt(x + c, y - 1) -
+                        plain.clampedAt(x - 1, y - 1),
+                    0, 255);
+                ASSERT_EQ(tm[r * 8 + c], want)
+                    << "block at " << x << "," << y;
+            }
+        }
+        uint8_t from_plain[64];
+        intraPredict(plain, x, y, 8, IntraMode::TrueMotion, from_plain);
+        EXPECT_TRUE(std::equal(tm, tm + 64, from_plain));
+    }
 }
 
 } // namespace

@@ -38,6 +38,63 @@ TEST(Plane, RowPointerMatchesAt)
     EXPECT_EQ(p.row(1)[2], 42);
 }
 
+TEST(Plane, ExtendBorderMatchesClampedAtAcrossTheMargin)
+{
+    constexpr int kBorder = 5;
+    Plane p(7, 4, 0, kBorder);
+    const auto expectMarginClamped = [&p] {
+        for (int y = -kBorder; y < p.height() + kBorder; ++y)
+            for (int x = -kBorder; x < p.width() + kBorder; ++x)
+                ASSERT_EQ(p.row(y)[x], p.clampedAt(x, y))
+                    << "at " << x << "," << y;
+    };
+    for (int y = 0; y < p.height(); ++y)
+        for (int x = 0; x < p.width(); ++x)
+            p.at(x, y) = static_cast<uint8_t>(17 * x + 31 * y);
+    p.extendBorder();
+    expectMarginClamped();
+    // New writes to the edges and corners show after the next extend.
+    p.at(0, 0) = 250;
+    p.at(6, 3) = 251;
+    p.at(3, 0) = 252;
+    p.at(0, 2) = 253;
+    p.extendBorder();
+    expectMarginClamped();
+    EXPECT_EQ(p.row(-kBorder)[-kBorder], 250);
+    EXPECT_EQ(p.row(3 + kBorder)[6 + kBorder], 251);
+}
+
+TEST(Plane, EqualityIgnoresTheMargin)
+{
+    Plane plain(6, 4, 9);
+    Plane bordered(6, 4, 9, 3);
+    EXPECT_EQ(plain, bordered);
+    bordered.row(-1)[-1] = 200;
+    bordered.row(2)[6] = 201;
+    EXPECT_EQ(plain, bordered);
+    bordered.at(5, 3) = 202;
+    EXPECT_NE(plain, bordered);
+    EXPECT_NE(Plane(6, 4, 9), Plane(4, 6, 9));
+}
+
+TEST(Plane, BorderedStorageKeepsVisibleRowsApart)
+{
+    Plane p(4, 3, 0, 2);
+    EXPECT_EQ(p.stride(), 8);
+    EXPECT_EQ(p.row(1) - p.row(0), 8);
+    p.at(3, 0) = 1;
+    p.at(0, 1) = 2;
+    EXPECT_EQ(p.at(3, 0), 1);
+    EXPECT_EQ(p.row(1)[0], 2);
+}
+
+TEST(PlaneDeathTest, RasterAccessNeedsAPlainPlane)
+{
+    const Plane p(4, 4, 0, 2);
+    EXPECT_DEATH((void)p.data(), "margin");
+    EXPECT_DEATH((void)p.pixelCount(), "margin");
+}
+
 TEST(Frame, ChromaIsHalfResolution)
 {
     Frame f(32, 16);
@@ -70,6 +127,15 @@ TEST(Frame, PixelCountIsLumaPixels)
 {
     Frame f(32, 18);
     EXPECT_EQ(f.pixelCount(), 32u * 18u);
+}
+
+TEST(Frame, ChromaMarginIsHalfTheLumaMargin)
+{
+    Frame f(32, 16, 0, 8);
+    EXPECT_EQ(f.y().border(), 8);
+    EXPECT_EQ(f.u().border(), 4);
+    EXPECT_EQ(f.v().border(), 4);
+    EXPECT_EQ(f, Frame(32, 16));
 }
 
 TEST(Frame, EqualityComparesPixels)
