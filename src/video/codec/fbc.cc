@@ -62,9 +62,18 @@ fbcCompress(const Plane &plane)
     return {plane.width(), plane.height(), bw.take()};
 }
 
-Plane
+std::optional<Plane>
 fbcDecompress(const FbcPlane &compressed)
 {
+    // Every pixel costs at least one bit (se(0) is a single 1), so a
+    // size the payload cannot hold is corrupt; checking it first also
+    // keeps a corrupt size from allocating a huge plane.
+    if (compressed.width <= 0 || compressed.height <= 0 ||
+        static_cast<uint64_t>(compressed.width) *
+                static_cast<uint64_t>(compressed.height) >
+            static_cast<uint64_t>(compressed.payload.size()) * 8) {
+        return std::nullopt;
+    }
     Plane plane(compressed.width, compressed.height);
     BitReader br(compressed.payload);
     for (int ty = 0; ty < plane.height(); ty += kTileH) {
@@ -75,7 +84,8 @@ fbcDecompress(const FbcPlane &compressed)
                 for (int x = tx; x < x1; ++x) {
                     const int pred = medPredict(plane, x, y, tx, ty);
                     const int v = pred + getSe(br);
-                    WSVA_ASSERT(!br.overrun(), "truncated FBC payload");
+                    if (br.overrun())
+                        return std::nullopt;
                     plane.at(x, y) =
                         static_cast<uint8_t>(std::clamp(v, 0, 255));
                 }

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "video/frame.h"
@@ -32,8 +33,12 @@ struct FbcPlane
 /** Losslessly compress a plane (64x16 pixel tiles, as in the VCU). */
 FbcPlane fbcCompress(const Plane &plane);
 
-/** Decompress back to the exact original plane. */
-Plane fbcDecompress(const FbcPlane &compressed);
+/**
+ * Decompress back to the exact original plane. A corrupt input (a
+ * non-positive size, a size the payload is too short to hold, or a
+ * truncated payload) yields nullopt instead of a plane.
+ */
+std::optional<Plane> fbcDecompress(const FbcPlane &compressed);
 
 /** Compression ratio (uncompressed bytes / compressed bytes). */
 double fbcRatio(const Plane &plane);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+
 #include "common/rng.h"
 #include "video/synth.h"
 
@@ -107,12 +110,33 @@ TEST(Fbc, HardwareRatioFollowsEntropyWhenPoor)
     EXPECT_GE(hw, 0.99);
 }
 
-TEST(FbcDeathTest, TruncatedPayloadDetected)
+TEST(Fbc, TruncatedPayloadIsRejectedAtEveryLength)
 {
-    Plane p(64, 16, 100);
-    auto compressed = fbcCompress(p);
-    compressed.payload.resize(compressed.payload.size() / 4);
-    EXPECT_DEATH(fbcDecompress(compressed), "truncated");
+    wsva::Rng rng(15);
+    Plane p(70, 23);
+    for (auto &px : p.data())
+        px = static_cast<uint8_t>(rng.uniformInt(256));
+    const auto compressed = fbcCompress(p);
+    ASSERT_EQ(fbcDecompress(compressed), p);
+    for (size_t len = 0; len < compressed.payload.size(); ++len) {
+        FbcPlane truncated = compressed;
+        truncated.payload.resize(len);
+        EXPECT_EQ(fbcDecompress(truncated), std::nullopt) << "length " << len;
+    }
+}
+
+TEST(Fbc, CorruptSizeIsRejected)
+{
+    const auto compressed = fbcCompress(Plane(64, 16, 100));
+    for (const auto &size : {std::array<int, 2>{0, 16},
+                             std::array<int, 2>{64, -1},
+                             std::array<int, 2>{1 << 20, 1 << 20}}) {
+        FbcPlane corrupt = compressed;
+        corrupt.width = size[0];
+        corrupt.height = size[1];
+        EXPECT_EQ(fbcDecompress(corrupt), std::nullopt)
+            << size[0] << "x" << size[1];
+    }
 }
 
 } // namespace
