@@ -354,13 +354,20 @@ scaledPattern(const ResidualBlock &pattern, int amplitude)
 
 TEST(TransformQuantize, PreCheckMatchesFullPathOneUnitEitherSideOfTheBound)
 {
-    // Sign patterns: an impulse, a flat block, and the basis-aligned
-    // patterns of ForwardMatchesAtStageOneInt32Bound.
+    // Sign patterns: impulses of either sign (at sample 0 the largest
+    // basis entry meets the impulse, so the bound is exact there up
+    // to the rounding of each stage), a flat block, and the
+    // basis-aligned patterns of ForwardMatchesAtStageOneInt32Bound.
     std::vector<ResidualBlock> patterns;
-    ResidualBlock impulse;
-    impulse.fill(0);
-    impulse[0] = 1;
-    patterns.push_back(impulse);
+    for (int i : {0, 3 * kTxSize + 4}) {
+        for (int polarity : {1, -1}) {
+            ResidualBlock impulse;
+            impulse.fill(0);
+            impulse[static_cast<size_t>(i)] =
+                static_cast<int16_t>(polarity);
+            patterns.push_back(impulse);
+        }
+    }
     ResidualBlock flat;
     flat.fill(1);
     patterns.push_back(flat);
