@@ -101,8 +101,9 @@ class Plane
   private:
     size_t idx(int x, int y) const
     {
-        return static_cast<size_t>(static_cast<ptrdiff_t>(origin_) +
-                                   static_cast<ptrdiff_t>(y) * stride_ + x);
+        return static_cast<size_t>(static_cast<std::ptrdiff_t>(origin_) +
+                                   static_cast<std::ptrdiff_t>(y) * stride_ +
+                                   x);
     }
 
     void requirePlain() const
@@ -129,7 +130,7 @@ class Frame
     /**
      * Construct a frame of the given luma dimensions (must be even),
      * with luma filled with @p luma_fill and chroma neutral (128).
-     * The luma planes get a margin of @p luma_border pixels, the
+     * The luma plane gets a margin of @p luma_border pixels, the
      * chroma planes half of it.
      */
     Frame(int width, int height, uint8_t luma_fill = 0, int luma_border = 0);
