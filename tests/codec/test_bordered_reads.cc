@@ -1,19 +1,21 @@
-// Differential test for the codec's block reads: every fetch, MC and
-// SAD kernel must return what a per-pixel clampedAt read returns, on
-// plain planes and on border-extended ones, wherever the block sits.
+#include "video/codec/mc.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
 #include "video/codec/mb_common.h"
-#include "video/codec/mc.h"
 
 namespace wsva::video::codec {
 namespace {
+
+// Differential test for the codec's block reads: every fetch, MC and
+// SAD kernel must return what a per-pixel clampedAt read returns, on
+// plain planes and on border-extended ones, wherever the block sits.
 
 constexpr int kWidth = 40;
 constexpr int kHeight = 24;
