@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.h"
+#include "video/codec/bitstream.h"
 #include "video/codec/decoder.h"
 #include "video/codec/encoder.h"
+#include "video/codec/entropy.h"
+#include "video/codec/mb_common.h"
 #include "video/metrics.h"
 #include "video/synth.h"
 
@@ -198,6 +203,88 @@ TEST(EdgeCases, BitFlipFuzzNeverCrashes)
         (void)decoded; // Either result is fine; crashing is not.
     }
     SUCCEED();
+}
+
+/**
+ * A hand-built stream: a keyframe of residual-free DC blocks (flat
+ * 128), then inter frames whose macroblocks carry random vectors from
+ * the whole int16 range, as a hostile stream may, and no residual.
+ */
+std::vector<uint8_t>
+hostileVectorStream(CodecType codec, uint64_t seed)
+{
+    constexpr int kFrames = 4;
+    SequenceHeader seq;
+    seq.codec = codec;
+    seq.width = 48;
+    seq.height = 32;
+    seq.frame_count = kFrames;
+    StreamWriter sw(seq);
+    EntropyModel model;
+    wsva::Rng rng(seed);
+    const CoeffBlock zero{};
+    const auto randomMvd = [&rng] {
+        return rng.uniformRange(-32768, 32767);
+    };
+    for (int f = 0; f < kFrames; ++f) {
+        FrameHeader hdr;
+        hdr.type = f == 0 ? FrameType::Key : FrameType::Inter;
+        hdr.update_golden = f != 1;
+        hdr.update_altref = f == 0;
+        if (hdr.type == FrameType::Key)
+            model.reset();
+        std::unique_ptr<SyntaxWriter> w;
+        if (codec == CodecType::VP9)
+            w = std::make_unique<ArithSyntaxWriter>(model);
+        else
+            w = std::make_unique<GolombSyntaxWriter>();
+        for (int mb = 0; mb < 6; ++mb) {
+            if (hdr.type == FrameType::Key) {
+                w->writeUInt(kCtxIntraMode, 0);
+            } else {
+                w->writeBit(kCtxSkip, 0);
+                w->writeBit(kCtxIsInter, 1);
+                const bool split = rng.uniformInt(2) == 1;
+                w->writeBit(kCtxSplit, split ? 1 : 0);
+                for (int q = 0; q < (split ? 4 : 1); ++q) {
+                    w->writeUInt(kCtxRefIdx, rng.uniformInt(kNumRefSlots));
+                    w->writeSInt(kCtxMvdX, randomMvd());
+                    w->writeSInt(kCtxMvdY, randomMvd());
+                }
+                if (codec == CodecType::VP9 && !split) {
+                    w->writeBit(kCtxCompound, 1);
+                    w->writeUInt(kCtxRefIdx, rng.uniformInt(kNumRefSlots));
+                    w->writeSInt(kCtxMvdX, randomMvd());
+                    w->writeSInt(kCtxMvdY, randomMvd());
+                }
+            }
+            for (int b = 0; b < 6; ++b)
+                writeCoeffBlock(*w, zero);
+        }
+        if (codec == CodecType::VP9)
+            model.adapt();
+        sw.addFrame(hdr, w->finish());
+    }
+    return sw.take();
+}
+
+TEST(EdgeCases, HostileVectorsDecodeThroughEdgeEmulation)
+{
+    // Vectors far beyond any reference margin take the edge-emulation
+    // fetch; over flat references every prediction is flat, so each
+    // decoded frame must be exactly 128.
+    for (CodecType codec : {CodecType::H264, CodecType::VP9}) {
+        for (uint64_t seed = 0; seed < 8; ++seed) {
+            const auto decoded =
+                decodeChunk(hostileVectorStream(codec, seed));
+            ASSERT_TRUE(decoded.has_value()) << "seed " << seed;
+            ASSERT_EQ(decoded->frames.size(), 4u);
+            for (const Frame &frame : decoded->frames)
+                for (int p = 0; p < 3; ++p)
+                    for (uint8_t px : frame.plane(p).data())
+                        ASSERT_EQ(px, 128) << "seed " << seed;
+        }
+    }
 }
 
 TEST(EdgeCases, H264AndVp9StreamsAreDistinct)
