@@ -229,7 +229,7 @@ printArm(const char *key, const ArmResult &r, bool last)
 int
 main()
 {
-    const double budget = SloConfig{}.deadline_miss_budget;
+    const double budget = SloConfig::kDeadlineMissBudget;
 
     std::fprintf(stderr, "live_surge: baseline arm ...\n");
     const ArmResult baseline = runArm(false, true);

@@ -62,7 +62,7 @@ retryRate(uint64_t retries, uint64_t completions)
 
 ClusterSim::ClusterSim(ClusterConfig cfg)
     : cfg_(cfg), rng_(cfg.seed), repairs_(cfg.failure),
-      trace_(cfg.trace_capacity), own_tracer_(cfg.span_capacity),
+      trace_(cfg.trace_capacity),
       slo_(cfg.slo)
 {
     WSVA_ASSERT(cfg_.hosts > 0 && cfg_.vcus_per_host > 0,
@@ -514,7 +514,6 @@ ClusterSim::scheduleBacklog(double now)
         // a preemption victim without scanning the fleet.
         if (step.priority == Priority::Batch &&
             cfg_.deadline.shed_enabled &&
-            cfg_.deadline.preempt_running_batch &&
             preempt_candidate_flag_[static_cast<size_t>(gid)] == 0) {
             preempt_candidate_flag_[static_cast<size_t>(gid)] = 1;
             preempt_candidates_.push_back(gid);
@@ -559,8 +558,6 @@ ClusterSim::shedForDeadline(const TranscodeStep &step,
     // is either stale (its batch already drained — drop it), unable
     // to host this step even emptied of batch (keep it for a smaller
     // request), or the victim.
-    if (!cfg_.deadline.preempt_running_batch)
-        return nullptr;
     size_t examined = 0;
     const size_t limit = preempt_candidates_.size();
     while (!preempt_candidates_.empty() && examined < limit) {
@@ -610,7 +607,8 @@ ClusterSim::maybeUnpark(double now)
     // steps between workers and the shed lot.
     if (backlog_.deadlineSize() > 0)
         return;
-    if (now - last_shed_time_ < cfg_.deadline.release_after_seconds)
+    if (now - last_shed_time_ <
+        ClusterConfig::DeadlinePolicy::kReleaseAfterSeconds)
         return;
     // The released steps land in the FIFO lane and the dispatch loop
     // right below this call picks them up — no event rescheduling
@@ -641,6 +639,24 @@ ClusterSim::conservation() const
     snap.shed = backlog_.shedSize();
     snap.rerouted_away = rerouted_away_total_;
     return snap;
+}
+
+std::string
+ConservationSnapshot::toJson() const
+{
+    return strformat(
+        "{\"submitted\": %llu, \"completed\": %llu, "
+        "\"failed_terminal\": %llu, \"in_flight\": %llu, "
+        "\"backlog\": %llu, \"shed\": %llu, \"rerouted_away\": %llu, "
+        "\"holds\": %s}",
+        static_cast<unsigned long long>(submitted),
+        static_cast<unsigned long long>(completed),
+        static_cast<unsigned long long>(failed_terminal),
+        static_cast<unsigned long long>(in_flight),
+        static_cast<unsigned long long>(backlog),
+        static_cast<unsigned long long>(shed),
+        static_cast<unsigned long long>(rerouted_away),
+        holds() ? "true" : "false");
 }
 
 std::vector<TranscodeStep>
@@ -796,15 +812,16 @@ void
 ClusterSim::publishRollup(double now)
 {
     prof::ProfScope prof_publish(clusterPhases().publish);
-    fleet_.publish(buildFleetHealth(now));
+    FleetHealthSnapshot snap = buildFleetHealth(now);
     if (registry_.enabled()) {
-        fleet_.exportGauges(registry_);
+        snap.exportGauges(registry_);
         // Continuous profiling rides the same rollup cadence so
         // profile.* gauges age no slower than fleet health does.
         auto &profiler = prof::ProfileRegistry::instance();
         if (profiler.enabled())
             profiler.exportGauges(registry_);
     }
+    fleet_.publish(std::move(snap));
 }
 
 ClusterMetrics
@@ -976,7 +993,6 @@ ClusterSim::attachDebugServer(wsva::DebugServer &server,
 std::string
 ClusterSim::exportJson(size_t max_trace_events) const
 {
-    const ConservationSnapshot snap = conservation();
     // Schema version history lives on kExportSchemaVersion — the one
     // place the number is defined.
     std::string out = strformat(
@@ -998,19 +1014,9 @@ ClusterSim::exportJson(size_t max_trace_events) const
     const auto fleet_snap = fleet_.snapshot();
     out += fleet_snap != nullptr ? fleet_snap->toJson()
                                  : buildFleetHealth(clock_).toJson();
-    out += strformat(
-        ",\n\"conservation\": {\"submitted\": %llu, "
-        "\"completed\": %llu, \"failed_terminal\": %llu, "
-        "\"in_flight\": %llu, \"backlog\": %llu, \"shed\": %llu, "
-        "\"rerouted_away\": %llu, \"holds\": %s}\n}",
-        static_cast<unsigned long long>(snap.submitted),
-        static_cast<unsigned long long>(snap.completed),
-        static_cast<unsigned long long>(snap.failed_terminal),
-        static_cast<unsigned long long>(snap.in_flight),
-        static_cast<unsigned long long>(snap.backlog),
-        static_cast<unsigned long long>(snap.shed),
-        static_cast<unsigned long long>(snap.rerouted_away),
-        snap.holds() ? "true" : "false");
+    out += ",\n\"conservation\": ";
+    out += conservation().toJson();
+    out += "\n}";
     return out;
 }
 

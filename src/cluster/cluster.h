@@ -118,9 +118,6 @@ struct ClusterConfig
      */
     bool tracing = true;
 
-    /** Span ring-buffer capacity (most recent spans kept). */
-    size_t span_capacity = 1 << 16;
-
     /**
      * Dapper-style head sampling: trace every Nth upload (uploads
      * whose step id is divisible by the period get the full
@@ -167,17 +164,13 @@ struct ClusterConfig
          */
         double slack_guard_seconds = 0.0;
 
-        /** Also preempt Batch steps already *running* when parking
-         *  queued batch work is not enough to place the live step. */
-        bool preempt_running_batch = true;
-
         /**
          * Quiet period: shed steps return to the FIFO lane only once
          * the EDF lane has been empty and nothing was shed for this
          * long. Hysteresis against park/unpark thrash while a surge
          * is still ramping.
          */
-        double release_after_seconds = 5.0;
+        static constexpr double kReleaseAfterSeconds = 5.0;
     };
     DeadlinePolicy deadline;
 
@@ -193,7 +186,7 @@ struct ClusterConfig
      * utilization and queue series, every N ticks of dt (0 = off).
      * The rollup is double-buffered, so /statusz scrapes never block
      * the sim; gated by `observability` like the registry. The
-     * default matches SloConfig::gauge_every_ticks (and the usual
+     * default matches SloConfig::kGaugeEveryTicks (and the usual
      * Prometheus scrape interval at 1 s ticks), so the rollup reuses
      * the windowed-p99 materialization the gauge path already paid
      * for on the same tick.
@@ -310,6 +303,10 @@ struct ConservationSnapshot
         return submitted == completed + failed_terminal + in_flight +
                                 backlog + shed + rerouted_away;
     }
+
+    /** JSON object: every bucket plus "holds" (the cluster export's
+     *  "conservation" block and each region's in the router's). */
+    std::string toJson() const;
 };
 
 /** The cluster simulator. */
@@ -405,9 +402,6 @@ class ClusterSim
      */
     std::vector<TranscodeStep> expelBacklog();
 
-    /** Lifetime count of steps expelled by expelBacklog(). */
-    uint64_t reroutedAway() const { return rerouted_away_total_; }
-
     /**
      * Pause (or resume) backlog dispatch. While paused, queued steps
      * — including retries failing off still-running workers — stay in
@@ -460,13 +454,13 @@ class ClusterSim
     /** One backlog-dispatch pass at @p now. */
     void scheduleBacklog(double now);
     /** Load shedding for a blocked live step: park queued batch work
-     *  and (policy permitting) preempt running batch steps until
-     *  @p need fits somewhere. @return a worker @p need now fits on,
+     *  and then preempt running batch steps until @p need fits
+     *  somewhere. @return a worker @p need now fits on,
      *  or nullptr when shedding could not make room. */
     Worker *shedForDeadline(const TranscodeStep &step,
                             const ResourceVector &need, double now);
     /** Return shed steps to the FIFO lane once the live crunch has
-     *  passed (EDF lane empty + release_after_seconds of calm). */
+     *  passed (EDF lane empty + kReleaseAfterSeconds of calm). */
     void maybeUnpark(double now);
     void checkConservation(double now);
     /** Sample the utilization and queue series (publish cadence). */

@@ -1,8 +1,5 @@
 #include "cluster/fleet_health.h"
 
-#include <atomic>
-#include <utility>
-
 #include "common/logging.h"
 
 namespace wsva::cluster {
@@ -185,50 +182,21 @@ FleetHealthSnapshot::toJson() const
 }
 
 void
-FleetHealthBoard::publish(FleetHealthSnapshot snap)
+FleetHealthSnapshot::exportGauges(wsva::MetricsRegistry &registry) const
 {
-    // Build the immutable buffer outside the lock; the swap itself is
-    // one shared_ptr exchange. A scraper mid-read keeps the previous
-    // buffer alive through its own shared_ptr.
-    auto next = std::make_shared<const FleetHealthSnapshot>(
-        std::move(snap));
-    {
-        std::lock_guard<wsva::SpinLock> lock(lock_);
-        current_.swap(next);
-    }
-    // `next` (the old buffer) releases here, after the lock.
-    publishes_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::shared_ptr<const FleetHealthSnapshot>
-FleetHealthBoard::snapshot() const
-{
-    std::lock_guard<wsva::SpinLock> lock(lock_);
-    return current_;
-}
-
-void
-FleetHealthBoard::exportGauges(wsva::MetricsRegistry &registry) const
-{
-    const auto snap = snapshot();
-    if (snap == nullptr)
-        return;
-    registry.setGauge("fleet.healthy",
-                      static_cast<double>(snap->cluster.healthy));
+    registry.setGauge("fleet.healthy", static_cast<double>(cluster.healthy));
     registry.setGauge("fleet.degraded",
-                      static_cast<double>(snap->cluster.degraded));
+                      static_cast<double>(cluster.degraded));
     registry.setGauge("fleet.quarantined",
-                      static_cast<double>(snap->cluster.quarantined));
+                      static_cast<double>(cluster.quarantined));
     registry.setGauge("fleet.in_repair",
-                      static_cast<double>(snap->cluster.in_repair));
-    registry.setGauge("fleet.encoder_utilization",
-                      snap->encoder_utilization);
-    registry.setGauge("fleet.retry_rate", snap->retry_rate);
-    registry.setGauge("fleet.shed", static_cast<double>(snap->shed));
-    if (snap->deadline_tracked > 0)
-        registry.setGauge("fleet.deadline_miss_rate",
-                          snap->deadline_miss_rate);
-    for (const auto &rack : snap->racks) {
+                      static_cast<double>(cluster.in_repair));
+    registry.setGauge("fleet.encoder_utilization", encoder_utilization);
+    registry.setGauge("fleet.retry_rate", retry_rate);
+    registry.setGauge("fleet.shed", static_cast<double>(shed));
+    if (deadline_tracked > 0)
+        registry.setGauge("fleet.deadline_miss_rate", deadline_miss_rate);
+    for (const auto &rack : racks) {
         const std::string prefix = strformat("fleet.rack%d.", rack.id);
         registry.setGauge(prefix + "healthy",
                           static_cast<double>(rack.counts.healthy));

@@ -12,23 +12,22 @@
  * into exactly one state, so the counts reconcile at every level:
  * healthy + degraded + quarantined + in_repair == fleet size, always.
  *
- * Snapshots are published through a double-buffered board: the sim
- * tick builds the next snapshot off to the side and swaps it in under
- * a spinlock held for a pointer exchange, while scrape threads keep
- * reading the previous buffer (shared_ptr keeps it alive until the
- * last reader drops it). The scrape path therefore never blocks the
- * sim tick, and the sim tick never waits for a slow scraper.
+ * Snapshots are published through a SnapshotBoard
+ * (common/snapshot_board.h): the sim builds the next snapshot off to
+ * the side and swaps it in, while scrape threads keep reading the
+ * previous buffer. The scrape path therefore never blocks the sim,
+ * and the sim never waits for a slow scraper.
  */
 
 #ifndef WSVA_CLUSTER_FLEET_HEALTH_H
 #define WSVA_CLUSTER_FLEET_HEALTH_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/snapshot_board.h"
 
 namespace wsva::cluster {
 
@@ -126,31 +125,6 @@ struct FleetHealthSnapshot
 
     /** JSON object (embedded in ClusterSim::exportJson). */
     std::string toJson() const;
-};
-
-/**
- * Double-buffered snapshot board. publish() is called from the sim
- * tick; snapshot() from scrape threads. Neither blocks the other
- * beyond a pointer swap under a spinlock.
- */
-class FleetHealthBoard
-{
-  public:
-    /** Publish @p snap as the current view. */
-    void publish(FleetHealthSnapshot snap);
-
-    /**
-     * The most recently published snapshot, or null before the first
-     * publish. The returned snapshot is immutable and stays valid
-     * for as long as the caller holds the pointer, even across later
-     * publishes.
-     */
-    std::shared_ptr<const FleetHealthSnapshot> snapshot() const;
-
-    uint64_t publishes() const
-    {
-        return publishes_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Export the per-level gauges into @p registry:
@@ -159,12 +133,10 @@ class FleetHealthBoard
      * fleet.rack<id>.{healthy,utilization,retry_rate}.
      */
     void exportGauges(wsva::MetricsRegistry &registry) const;
-
-  private:
-    mutable wsva::SpinLock lock_;
-    std::shared_ptr<const FleetHealthSnapshot> current_;
-    std::atomic<uint64_t> publishes_{0};
 };
+
+/** The published rollup: null before the first publish. */
+using FleetHealthBoard = wsva::SnapshotBoard<FleetHealthSnapshot>;
 
 } // namespace wsva::cluster
 

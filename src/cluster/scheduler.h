@@ -265,8 +265,6 @@ class SlotScheduler : public Scheduler
     Worker *pick(const ResourceVector &need) override;
     ResourceVector reservationFor(const ResourceVector &need) const override;
 
-    const ResourceVector &slotNeed() const { return slot_need_; }
-
   private:
     std::vector<Worker *> workers_;
     ResourceVector slot_need_;

@@ -244,8 +244,7 @@ SloMonitor::onTick(double now)
 
     // Dashboard values are decimated (the exact windowed p99 costs a
     // selection pass); alert evaluation above stays per-tick.
-    if (metrics_ != nullptr && cfg_.gauge_every_ticks != 0 &&
-        tick_ % cfg_.gauge_every_ticks == 0) {
+    if (metrics_ != nullptr && tick_ % SloConfig::kGaugeEveryTicks == 0) {
         const double p99 = windowP99();
         const double age = queueAge(now);
         metrics_->setGauge("slo.window_p99", p99);
@@ -287,7 +286,7 @@ SloMonitor::exportJson(double now) const
         static_cast<unsigned long long>(deadline_tracked_),
         static_cast<unsigned long long>(deadline_missed_),
         deadlineMissRate(), windowDeadlineMissRate(),
-        cfg_.deadline_miss_budget, liveQuantile(0.99));
+        SloConfig::kDeadlineMissBudget, liveQuantile(0.99));
 }
 
 } // namespace wsva::cluster

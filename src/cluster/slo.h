@@ -73,7 +73,7 @@ struct SloConfig
      * dashboard values are decimated, because materializing the exact
      * windowed p99 costs a selection pass over the window.
      */
-    size_t gauge_every_ticks = 15;
+    static constexpr size_t kGaugeEveryTicks = 15;
 
     /**
      * The live promise: at most this fraction of deadline-carrying
@@ -81,7 +81,7 @@ struct SloConfig
      * reporting threshold (the burn-rate alert stays the paging
      * signal); benches compare shed-on/shed-off arms against it.
      */
-    double deadline_miss_budget = 0.01;
+    static constexpr double kDeadlineMissBudget = 0.01;
 };
 
 /**

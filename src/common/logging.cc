@@ -84,6 +84,23 @@ strformat(const char *fmt, ...)
 }
 
 void
+appendJsonString(std::string &out, std::string_view s)
+{
+    out += '"';
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            out += strformat("\\u%04x", c);
+        } else {
+            out += c;
+        }
+    }
+    out += '"';
+}
+
+void
 setLogSink(LogSinkFn sink)
 {
     std::lock_guard<std::mutex> lock(sinkMutex());

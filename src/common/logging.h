@@ -14,6 +14,7 @@
 #include <cstdarg>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace wsva {
 
@@ -23,6 +24,13 @@ std::string strformat(const char *fmt, ...)
 
 /** vprintf-style formatting into a std::string. */
 std::string vstrformat(const char *fmt, va_list args);
+
+/**
+ * Append @p s to @p out as a quoted JSON string: `"` and `\` get a
+ * backslash and control characters become `\u00xx`. Every JSON
+ * exporter in the tree writes its strings through this one function.
+ */
+void appendJsonString(std::string &out, std::string_view s);
 
 /**
  * A log sink receives every emitted line as (severity tag, message).

@@ -8,24 +8,6 @@
 
 namespace wsva {
 
-namespace {
-
-/** Append a JSON string key (names here never need escaping beyond
- *  quotes/backslashes, but handle them for safety). */
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-}
-
-} // namespace
-
 std::string
 sanitizePrometheusName(const std::string &name)
 {
@@ -416,13 +398,11 @@ TraceLog::record(const TraceEvent &event)
     std::lock_guard<SpinLock> lock(mutex_);
     ++recorded_;
     ++counts_[static_cast<size_t>(event.type)];
-    if (events_.size() < capacity_) {
-        events_.push_back(event);
-    } else {
-        events_[next_] = event;
-        next_ = (next_ + 1) % capacity_;
+    if (events_.size() == capacity_) {
+        events_.pop_front();
         ++dropped_;
     }
+    events_.push_back(event);
 }
 
 void
@@ -466,15 +446,9 @@ TraceLog::snapshot(size_t max_events) const
     std::lock_guard<SpinLock> lock(mutex_);
     const size_t n = std::min(max_events, events_.size());
     std::vector<TraceEvent> out;
-    if (n == 0)
-        return out;
     out.reserve(n);
-    // Oldest-first order: next_ is the oldest slot once the ring is
-    // full (and 0 before that, when next_ is still 0).
-    const size_t start =
-        (next_ + events_.size() - n) % events_.size();
-    for (size_t i = 0; i < n; ++i)
-        out.push_back(events_[(start + i) % events_.size()]);
+    for (size_t i = events_.size() - n; i < events_.size(); ++i)
+        out.push_back(events_[i]);
     return out;
 }
 
@@ -483,7 +457,6 @@ TraceLog::clear()
 {
     std::lock_guard<SpinLock> lock(mutex_);
     events_.clear();
-    next_ = 0;
     recorded_ = 0;
     dropped_ = 0;
     counts_.fill(0);
@@ -507,10 +480,8 @@ TraceLog::toJson(size_t max_events) const
         counts = counts_;
         const size_t n = std::min(max_events, events_.size());
         events.reserve(n);
-        const size_t start =
-            n == 0 ? 0 : (next_ + events_.size() - n) % events_.size();
-        for (size_t i = 0; i < n; ++i)
-            events.push_back(events_[(start + i) % events_.size()]);
+        for (size_t i = events_.size() - n; i < events_.size(); ++i)
+            events.push_back(events_[i]);
     }
 
     std::string out = strformat(

@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "common/stats.h"
 
 namespace wsva {
@@ -49,7 +50,8 @@ std::string sanitizePrometheusName(const std::string &name);
 
 /**
  * Minimal spinlock for hot, uncontended, short critical sections
- * (the trace-log record path). Satisfies BasicLockable.
+ * (the trace-log and span record paths, SnapshotBoard's pointer
+ * swap). Satisfies BasicLockable.
  */
 class SpinLock
 {
@@ -292,10 +294,9 @@ class TraceLog
     std::atomic<bool> enabled_{true};
     mutable SpinLock mutex_; //!< record() runs once per step event.
     size_t capacity_;
-    // Flat ring: grows by push_back until capacity, then overwrites
-    // in place — the steady-state record path never allocates.
-    std::vector<TraceEvent> events_;
-    size_t next_ = 0; //!< Write slot once the ring is full.
+    // At capacity the oldest event is popped (and counted dropped);
+    // the warmed ring never allocates.
+    RingQueue<TraceEvent> events_;
     uint64_t recorded_ = 0;
     uint64_t dropped_ = 0;
     std::array<uint64_t, kTraceEventTypeCount> counts_{};

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/snapshot_board.h"
 
 namespace wsva::prof {
 
@@ -19,19 +20,6 @@ double
 toMs(uint64_t ns)
 {
     return static_cast<double>(ns) / 1e6;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 }  // namespace
@@ -73,10 +61,8 @@ struct ProfileRegistry::Impl {
 
     std::thread sampler;
 
-    // Double-buffered published snapshot (FleetHealthBoard pattern).
-    mutable SpinLock board_lock;
-    std::shared_ptr<const ProfileSnapshot> board =
-        std::make_shared<const ProfileSnapshot>();
+    // The published /profilez view; never null (see the constructor).
+    SnapshotBoard<ProfileSnapshot> board;
 };
 
 ProfileRegistry &
@@ -86,7 +72,10 @@ ProfileRegistry::instance()
     return *g;
 }
 
-ProfileRegistry::ProfileRegistry() : impl_(new Impl) {}
+ProfileRegistry::ProfileRegistry() : impl_(new Impl)
+{
+    impl_->board.publish(ProfileSnapshot{});
+}
 
 ProfileRegistry::~ProfileRegistry()
 {
@@ -318,16 +307,13 @@ ProfileRegistry::snapshot() const
 void
 ProfileRegistry::publish()
 {
-    auto snap = std::make_shared<const ProfileSnapshot>(buildSnapshot());
-    std::lock_guard<SpinLock> lock(impl_->board_lock);
-    impl_->board = std::move(snap);
+    impl_->board.publish(buildSnapshot());
 }
 
 std::shared_ptr<const ProfileSnapshot>
 ProfileRegistry::board() const
 {
-    std::lock_guard<SpinLock> lock(impl_->board_lock);
-    return impl_->board;
+    return impl_->board.snapshot();
 }
 
 void
@@ -504,11 +490,11 @@ ProfileRegistry::toJson(int top_k) const
     for (const auto &p : snap.phases) {
         if (shown >= top_k)
             break;
+        out += shown ? ",\n        {\"phase\": " : "\n        {\"phase\": ";
+        appendJsonString(out, p.name);
         out += strformat(
-            "%s\n        {\"phase\": \"%s\", \"calls\": %llu, "
-            "\"incl_ms\": %.3f, \"excl_ms\": %.3f, \"samples\": %llu, "
-            "\"share_pct\": %.2f}",
-            shown ? "," : "", jsonEscape(p.name).c_str(),
+            ", \"calls\": %llu, \"incl_ms\": %.3f, \"excl_ms\": %.3f, "
+            "\"samples\": %llu, \"share_pct\": %.2f}",
             (unsigned long long)p.calls, toMs(p.incl_ns), toMs(p.excl_ns),
             (unsigned long long)p.samples,
             total_excl > 0
@@ -562,11 +548,7 @@ ProfileRegistry::reset()
         impl_->collapsed.clear();
         impl_->total_samples = 0;
     }
-    {
-        auto empty = std::make_shared<const ProfileSnapshot>();
-        std::lock_guard<SpinLock> lock(impl_->board_lock);
-        impl_->board = std::move(empty);
-    }
+    impl_->board.publish(ProfileSnapshot{});
 }
 
 }  // namespace wsva::prof

@@ -25,10 +25,9 @@
  * no matter which static paths nest under it at runtime.
  *
  * Aggregation (snapshot/publish/toJson/collapsed export) walks all
- * thread blocks under the registry mutex; a double-buffered snapshot
- * board (shared_ptr swap under a SpinLock, same pattern as
- * FleetHealthBoard) lets /profilez scrapes read a consistent view
- * without ever blocking sim ticks.
+ * thread blocks under the registry mutex; a SnapshotBoard
+ * (common/snapshot_board.h) lets /profilez scrapes read a consistent
+ * view without ever blocking sim ticks.
  */
 
 #include <atomic>
@@ -114,7 +113,7 @@ class ProfileRegistry {
     void publish();
 
     /** Last published snapshot (never null; empty before first
-     *  publish).  Lock-free apart from a brief SpinLock. */
+     *  publish).  A pointer copy under the board's SpinLock. */
     std::shared_ptr<const ProfileSnapshot> board() const;
 
     /**
@@ -126,7 +125,6 @@ class ProfileRegistry {
      */
     void startSampler(uint64_t period_us = 5000);
     void stopSampler();
-    bool samplerRunning() const { return sampler_run_.load(std::memory_order_acquire); }
     uint64_t samplerTicks() const { return sampler_ticks_.load(std::memory_order_relaxed); }
 
     /**

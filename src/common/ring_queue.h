@@ -3,10 +3,12 @@
  * FIFO ring buffer that keeps its storage.
  *
  * The SLO monitor records every submission and completion in FIFO
- * queues of small records. std::deque allocates and frees a 512-byte
- * block every 32 such records as the stream moves through it. This
- * ring grows by doubling and never shrinks, so a warmed queue streams
- * without touching the heap.
+ * queues of small records, and TraceLog and Tracer keep their most
+ * recent events and spans in one (popping the oldest at capacity).
+ * std::deque allocates and frees a 512-byte block every 32 such
+ * records as the stream moves through it. This ring grows by doubling
+ * and never shrinks, so a warmed queue streams without touching the
+ * heap.
  *
  * The price is that the storage stays at the queue's high-water mark,
  * rounded up to a power of two. That suits small records; the
@@ -14,7 +16,7 @@
  * in every region, stay std::deque for that reason (DESIGN.md §9).
  *
  * Deliberately minimal: push at the back, pop at the front, indexed
- * access in queue order. Not thread-safe.
+ * access in queue order, clear. Not thread-safe.
  */
 
 #ifndef WSVA_COMMON_RING_QUEUE_H
@@ -59,6 +61,13 @@ class RingQueue
         WSVA_ASSERT(size_ > 0, "pop_front() on an empty ring");
         head_ = (head_ + 1) & mask();
         --size_;
+    }
+
+    /** Drop every element; the storage is kept. */
+    void clear()
+    {
+        head_ = 0;
+        size_ = 0;
     }
 
   private:

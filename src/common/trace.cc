@@ -23,25 +23,6 @@ currentThreadTrack()
     return tls_track;
 }
 
-/** Append a JSON string value with minimal escaping. */
-void
-appendJsonString(std::string &out, const char *s)
-{
-    out += '"';
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += strformat("\\u%04x", c);
-        } else {
-            out += c;
-        }
-    }
-    out += '"';
-}
-
 } // namespace
 
 SpanContext
@@ -84,13 +65,11 @@ Tracer::record(SpanRecord rec)
         rec.id = nextId();
     std::lock_guard<SpinLock> lock(mutex_);
     ++recorded_;
-    if (spans_.size() < capacity_) {
-        spans_.push_back(rec);
-    } else {
-        spans_[next_] = rec;
-        next_ = (next_ + 1) % capacity_;
+    if (spans_.size() == capacity_) {
+        spans_.pop_front();
         ++dropped_;
     }
+    spans_.push_back(rec);
 }
 
 uint64_t
@@ -182,9 +161,8 @@ Tracer::snapshot() const
     std::lock_guard<SpinLock> lock(mutex_);
     std::vector<SpanRecord> out;
     out.reserve(spans_.size());
-    // Oldest first: next_ is the oldest slot once the ring is full.
     for (size_t i = 0; i < spans_.size(); ++i)
-        out.push_back(spans_[(next_ + i) % spans_.size()]);
+        out.push_back(spans_[i]);
     return out;
 }
 
@@ -193,7 +171,6 @@ Tracer::clear()
 {
     std::lock_guard<SpinLock> lock(mutex_);
     spans_.clear();
-    next_ = 0;
     recorded_ = 0;
     dropped_ = 0;
 }

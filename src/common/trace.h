@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/ring_queue.h"
 
 namespace wsva {
 
@@ -91,7 +92,7 @@ struct SpanRecord
  * Bounded span sink. Keeps the most recent `capacity` spans (older
  * ones are dropped and counted). Thread-safe: wall spans arrive
  * concurrently from pool workers; the record path is one spinlock
- * acquisition and a ring write, no allocation in steady state.
+ * acquisition and a RingQueue push, no allocation in steady state.
  */
 class Tracer
 {
@@ -180,10 +181,7 @@ class Tracer
     std::atomic<uint64_t> next_id_{0};
     mutable SpinLock mutex_;
     size_t capacity_;
-    // Flat ring, same discipline as TraceLog: push_back until full,
-    // then overwrite in place.
-    std::vector<SpanRecord> spans_;
-    size_t next_ = 0;
+    RingQueue<SpanRecord> spans_; //!< Same discipline as TraceLog.
     uint64_t recorded_ = 0;
     uint64_t dropped_ = 0;
     std::deque<std::string> interned_;

@@ -20,7 +20,7 @@ GlobalRouter::GlobalRouter(GlobalRouterConfig cfg)
           for (int r = 0; r < cfg.regions; ++r)
               ids.push_back(r);
           return ids;
-      }(), cfg.ring_virtual_nodes)
+      }(), GlobalRouterConfig::kRingVirtualNodes)
 {
     WSVA_ASSERT(cfg_.regions >= 1, "need at least one region");
     WSVA_ASSERT(cfg_.step_seconds > 0 && cfg_.dt > 0 &&
@@ -36,7 +36,8 @@ GlobalRouter::GlobalRouter(GlobalRouterConfig cfg)
     for (int r = 0; r < cfg_.regions; ++r) {
         wsva::cluster::ClusterConfig region_cfg = cfg_.cluster;
         region_cfg.seed = cfg_.cluster.seed +
-                          static_cast<uint64_t>(r) * cfg_.seed_stride;
+                          static_cast<uint64_t>(r) *
+                              GlobalRouterConfig::kSeedStride;
         sims_.push_back(std::make_unique<ClusterSim>(region_cfg));
         gates_.emplace_back(cfg_.health);
         status_[static_cast<size_t>(r)].id = r;
@@ -369,23 +370,21 @@ GlobalRouter::exportGauges()
 std::string
 GlobalRouter::statusText() const
 {
-    status_lock_.lock();
-    std::string out = status_text_;
-    status_lock_.unlock();
-    return out;
+    return status_board_.snapshot()->text;
 }
 
 void
 GlobalRouter::publishStatus()
 {
     const GlobalConservation g = conservation();
+    const int routable = routableRegions();
     std::string out = strformat(
         "global router: %d regions (%d routable), t=%.1fs\n"
         "submitted %llu, completed %llu, pending %llu, "
         "rerouted %llu, availability %.4f, amplification %.3f\n\n"
         "  region     state  routed   rr-in  expel  backlog "
         "inflight   compl  w-retry  amp\n",
-        cfg_.regions, routableRegions(), clock_,
+        cfg_.regions, routable, clock_,
         static_cast<unsigned long long>(g.submitted),
         static_cast<unsigned long long>(g.completed),
         static_cast<unsigned long long>(g.pending),
@@ -408,10 +407,7 @@ GlobalRouter::publishStatus()
     }
     out += strformat("\nledger: %s\n",
                      g.holds() ? "holds" : "VIOLATED");
-
-    status_lock_.lock();
-    status_text_ = std::move(out);
-    status_lock_.unlock();
+    status_board_.publish(RouterStatus{std::move(out), routable});
 }
 
 void
@@ -421,14 +417,14 @@ GlobalRouter::attachDebugServer(wsva::DebugServer &server,
     wsva::ZPageSources sources;
     sources.metrics = &registry_;
     sources.build_info = build_info;
-    // Scrape threads may only read the published status string and
-    // the registry — never the sims or the router's routing state.
+    // Scrape threads may only read the published status and the
+    // registry — never the sims or the router's routing state.
     const GlobalRouter *self = this;
     sources.statusz = [self] { return self->statusText(); };
     const int regions = cfg_.regions;
     sources.healthz_extra = [self, regions] {
-        return strformat("\"regions\": %d, \"routable\": %d",
-                         regions, self->routableRegions());
+        return strformat("\"regions\": %d, \"routable\": %d", regions,
+                         self->status_board_.snapshot()->routable);
     };
     wsva::registerZPages(server, sources);
 }
@@ -451,8 +447,6 @@ GlobalRouter::exportJson() const
         static_cast<unsigned long long>(audit_violations_));
     for (int r = 0; r < cfg_.regions; ++r) {
         const RegionStatus &st = status_[static_cast<size_t>(r)];
-        const ConservationSnapshot snap =
-            sims_[static_cast<size_t>(r)]->conservation();
         out += strformat(
             "%s\n{\"id\": %d, \"quarantined\": %s, "
             "\"routed\": %llu, \"rerouted_in\": %llu, "
@@ -460,11 +454,7 @@ GlobalRouter::exportJson() const
             "\"completions\": %llu, \"window_retry_rate\": %.6g, "
             "\"retry_amplification\": %.6g, "
             "\"quarantine_entries\": %llu, \"readmissions\": %llu, "
-            "\"conservation\": {\"submitted\": %llu, "
-            "\"completed\": %llu, \"failed_terminal\": %llu, "
-            "\"in_flight\": %llu, \"backlog\": %llu, "
-            "\"shed\": %llu, \"rerouted_away\": %llu, "
-            "\"holds\": %s}}",
+            "\"conservation\": ",
             r > 0 ? "," : "", st.id,
             st.quarantined ? "true" : "false",
             static_cast<unsigned long long>(st.routed),
@@ -474,15 +464,9 @@ GlobalRouter::exportJson() const
             static_cast<unsigned long long>(st.completions),
             st.window_retry_rate, st.retryAmplification(),
             static_cast<unsigned long long>(st.quarantine_entries),
-            static_cast<unsigned long long>(st.readmissions),
-            static_cast<unsigned long long>(snap.submitted),
-            static_cast<unsigned long long>(snap.completed),
-            static_cast<unsigned long long>(snap.failed_terminal),
-            static_cast<unsigned long long>(snap.in_flight),
-            static_cast<unsigned long long>(snap.backlog),
-            static_cast<unsigned long long>(snap.shed),
-            static_cast<unsigned long long>(snap.rerouted_away),
-            snap.holds() ? "true" : "false");
+            static_cast<unsigned long long>(st.readmissions));
+        out += sims_[static_cast<size_t>(r)]->conservation().toJson();
+        out += "}";
     }
     out += strformat(
         "\n],\n\"conservation\": {\"submitted\": %llu, "

@@ -45,6 +45,7 @@
 #include "cluster/cluster.h"
 #include "cluster/consistent_hash.h"
 #include "common/metrics.h"
+#include "common/snapshot_board.h"
 #include "global/region_health.h"
 
 namespace wsva {
@@ -61,11 +62,11 @@ struct GlobalRouterConfig
 
     /**
      * Per-region cluster template. Region r runs a copy with
-     * seed = cluster.seed + r * seed_stride; everything else is
+     * seed = cluster.seed + r * kSeedStride; everything else is
      * shared. The event engine is the intended fit at fleet scale.
      */
     wsva::cluster::ClusterConfig cluster;
-    uint64_t seed_stride = 1000;
+    static constexpr uint64_t kSeedStride = 1000;
 
     /** Router decision cadence: regions advance in slices of this
      *  many sim seconds between routing/health decisions. */
@@ -75,7 +76,7 @@ struct GlobalRouterConfig
     double dt = 0.5;
 
     /** Virtual nodes per region on the routing ring. */
-    int ring_virtual_nodes = 64;
+    static constexpr int kRingVirtualNodes = 64;
 
     /**
      * Admission signal: (backlog + in-flight) per provisioned VCU.
@@ -190,7 +191,8 @@ class GlobalRouter
         return status_[static_cast<size_t>(r)];
     }
 
-    /** Regions currently on the routing ring. */
+    /** Regions currently on the routing ring (router thread only;
+     *  scrape threads read the published count). */
     int routableRegions() const
     {
         return static_cast<int>(ring_.workerCount());
@@ -233,8 +235,8 @@ class GlobalRouter
     /**
      * Register z-pages for the router on @p server: /healthz, /varz,
      * /metrics (router registry), /statusz (region table). Handlers
-     * read a double-buffered snapshot, so scrapes never block router
-     * steps.
+     * read the published RouterStatus and the registry only, so
+     * scrapes never block router steps or touch routing state.
      */
     void attachDebugServer(wsva::DebugServer &server,
                            const std::string &build_info =
@@ -289,12 +291,14 @@ class GlobalRouter
     wsva::CounterHandle submitted_counter_;
     wsva::CounterHandle rerouted_counter_;
 
-    // Published /statusz text: router steps rebuild it off to the
-    // side and swap under a spinlock held for a string move, so
-    // scrape threads never block a router step (same discipline as
-    // FleetHealthBoard).
-    mutable wsva::SpinLock status_lock_;
-    std::string status_text_;
+    /** What the router's z-pages read, republished every router
+     *  step: scrape threads never touch the ring or the sims. */
+    struct RouterStatus
+    {
+        std::string text; //!< The /statusz region table.
+        int routable = 0; //!< Regions on the ring, for /healthz.
+    };
+    wsva::SnapshotBoard<RouterStatus> status_board_; //!< Never null.
 };
 
 } // namespace wsva::global

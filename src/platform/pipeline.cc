@@ -64,6 +64,14 @@ OutputVariant::bitrateBps() const
 
 namespace {
 
+/**
+ * Per-rung bitrate scaling exponent: a rung with p times the pixels
+ * of the top rung gets p^exponent times its bitrate (ABR-ladder
+ * practice; ~0.75 tracks how perceptual bitrate demand grows
+ * sublinearly with resolution).
+ */
+constexpr double kLadderBitrateExponent = 0.75;
+
 /** Monotonic wall-clock seconds for encode-timing histograms. */
 double
 wallSeconds()
@@ -222,7 +230,7 @@ transcodeMot(const std::vector<Frame> &source,
         const Resolution &res = outputs[r];
         const double rel =
             static_cast<double>(res.width) * res.height / top_pixels;
-        const double scale = std::pow(rel, cfg.ladder_bitrate_exponent);
+        const double scale = std::pow(rel, kLadderBitrateExponent);
         const double t0 = wallSeconds();
         result.variants[r].chunks[i] = encodeChunkJob(
             chunks[i], res, codec, cfg, chunk_stats, i, scale);

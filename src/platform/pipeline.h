@@ -63,14 +63,6 @@ struct PipelineConfig
     int chunk_frames = 30;  //!< Chunk length in frames.
 
     /**
-     * Per-rung bitrate scaling exponent: a rung with p times the
-     * pixels of the top rung gets p^exponent times its bitrate
-     * (ABR-ladder practice; ~0.75 tracks how perceptual bitrate
-     * demand grows sublinearly with resolution).
-     */
-    double ladder_bitrate_exponent = 0.75;
-
-    /**
      * Worker threads for the chunk x rung encode fan-out: 0 = one per
      * hardware thread, 1 = fully serial (no pool). Chunks are closed
      * GOPs and rungs are independent, so every schedule produces

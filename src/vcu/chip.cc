@@ -67,16 +67,6 @@ VcuChip::decoderUtilization() const
         : 0.0;
 }
 
-double
-VcuChip::dramPressure() const
-{
-    double demand = 0.0;
-    for (const auto &r : running_)
-        demand += r.op.dram_gibps;
-    const double usable = cfg_.dram.usableGibps();
-    return usable > 0 ? demand / usable : 0.0;
-}
-
 bool
 VcuChip::submit(const VcuOp &op)
 {

@@ -122,10 +122,6 @@ class VcuChip
     double encoderUtilization() const;
     /** Instantaneous decoder-core occupancy in [0, 1]. */
     double decoderUtilization() const;
-    /** Instantaneous DRAM bandwidth demand vs usable. */
-    double dramPressure() const;
-    /** Device DRAM footprint utilization. */
-    double dramCapacityUtilization() const { return capacity_.utilization(); }
 
   private:
     struct Running

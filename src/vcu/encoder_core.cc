@@ -109,19 +109,6 @@ EncoderCoreModel::estimate(const EncodeJob &job) const
 }
 
 double
-EncoderCoreModel::peakPixelRate() const
-{
-    EncodeJob job;
-    job.width = 3840;
-    job.height = 2160;
-    job.fps = 60.0;
-    job.frame_count = 1;
-    job.codec = CodecType::VP9;
-    job.num_refs = 3;
-    return estimate(job).pixels_per_second;
-}
-
-double
 decodeSeconds(const DecoderCoreConfig &cfg, int width, int height,
               int frame_count)
 {

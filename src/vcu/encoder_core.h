@@ -84,9 +84,6 @@ class EncoderCoreModel
     /** Estimate timing and DRAM traffic for a job. */
     EncodeEstimate estimate(const EncodeJob &job) const;
 
-    /** Peak luma throughput in pixels/second (2160p calibration). */
-    double peakPixelRate() const;
-
     const EncoderCoreConfig &config() const { return cfg_; }
 
   private:

@@ -61,7 +61,6 @@ class Channel
             return false;
         }
         fifo_.push_back(item);
-        ++pushes_;
         return true;
     }
 
@@ -75,14 +74,12 @@ class Channel
         return item;
     }
 
-    uint64_t pushes() const { return pushes_; }
     uint64_t pushStalls() const { return push_stalls_; }
 
   private:
     size_t capacity_;
     std::string name_;
     std::deque<T> fifo_;
-    uint64_t pushes_ = 0;
     uint64_t push_stalls_ = 0;
 };
 

@@ -47,9 +47,6 @@ class ReferenceStore
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
 
-    /** Bytes fetched from DRAM so far (1 byte/pixel planes). */
-    uint64_t fetchedBytes() const { return misses_ * kRefBlockPixels; }
-
     /** Drop all cached blocks (e.g. at a tile-column barrier). */
     void flush();
 

@@ -61,14 +61,8 @@ class BitReader
     /** Skip to the next byte boundary. */
     void byteAlign();
 
-    /** Bits consumed so far. */
-    uint64_t bitPosition() const { return bit_pos_; }
-
     /** True once a read went past the end of the buffer. */
     bool overrun() const { return overrun_; }
-
-    /** True if every payload bit has been consumed. */
-    bool exhausted() const { return bit_pos_ >= size_ * 8; }
 
   private:
     const uint8_t *data_;

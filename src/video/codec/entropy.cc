@@ -226,12 +226,6 @@ ArithSyntaxReader::readLiteral(int count)
 // ------------------------------------------------------------- Estimates
 
 int
-estimateUIntBits(uint32_t value)
-{
-    return ueBits(value);
-}
-
-int
 estimateSIntBits(int32_t value)
 {
     const uint32_t mapped = value >= 0

@@ -208,10 +208,9 @@ class ArithSyntaxReader : public SyntaxReader
 };
 
 /**
- * Cheap bit-size estimates used by rate-distortion mode decisions
+ * Cheap bit-size estimate used by rate-distortion mode decisions
  * (profile-independent; golomb-exact, close enough for arith).
  */
-int estimateUIntBits(uint32_t value);
 int estimateSIntBits(int32_t value);
 
 } // namespace wsva::video::codec

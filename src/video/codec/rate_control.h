@@ -62,9 +62,6 @@ class RateController
     void onFrameEncoded(int display_idx, FrameType type, int qp_used,
                         double bits);
 
-    /** Current rate-model gain (bits per pixel-complexity/qstep). */
-    double rateModelGain() const { return k_; }
-
   private:
     double frameComplexity(int display_idx) const;
     double targetBits(int display_idx, FrameType type);

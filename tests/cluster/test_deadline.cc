@@ -137,7 +137,6 @@ crunchConfig(bool shed)
     cfg.seed = 11;
     cfg.deadline.shed_enabled = shed;
     cfg.deadline.slack_guard_seconds = 2.0;
-    cfg.deadline.release_after_seconds = 5.0;
     cfg.slo.p99_target_seconds = 30.0;
     return cfg;
 }

@@ -110,6 +110,19 @@ TEST(MetricsRegistry, JsonContainsAllSections)
     EXPECT_NE(json.find("[1, 7]"), std::string::npos);
 }
 
+TEST(MetricsRegistry, JsonEscapesQuotesBackslashesAndControlChars)
+{
+    // Names reach the export verbatim, so a quote, a backslash or a
+    // newline in one must come out escaped, not raw.
+    MetricsRegistry m;
+    m.inc("say \"hi\"\\path\nnext", 2);
+    const std::string json = m.toJson();
+    EXPECT_NE(json.find("\"say \\\"hi\\\"\\\\path\\u000anext\": 2"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("path\nnext"), std::string::npos);
+}
+
 TEST(MetricsRegistry, ResetClears)
 {
     MetricsRegistry m;

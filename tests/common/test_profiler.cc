@@ -359,6 +359,20 @@ TEST(ProfileRegistry, TextJsonAndGaugeExports)
     reg.setEnabled(false);
 }
 
+TEST(ProfileRegistry, JsonEscapesPhaseNames)
+{
+    ProfileRegistry &reg = freshRegistry();
+    const int phase = reg.intern("test/esc\"quote\\slash\nline");
+    ASSERT_GE(phase, 0);
+    prof::addTime(phase, 1'000'000'000);
+    const std::string json = reg.toJson();
+    EXPECT_NE(json.find("\"phase\": "
+                        "\"test/esc\\\"quote\\\\slash\\u000aline\","),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("slash\nline"), std::string::npos);
+}
+
 TEST(ProfileRegistry, ResetZeroesEverything)
 {
     ProfileRegistry &reg = freshRegistry();
@@ -393,19 +407,31 @@ TEST(ProfileRegistry, ScrapeVsRecordHammer)
     reg.startSampler(/*period_us=*/200);
 
     std::atomic<bool> stop{false};
+    // Scrapes start once both recorders have closed a scope: on a
+    // loaded machine the scrapers could otherwise finish before any
+    // recorder ran, and there would be nothing to race.
+    std::atomic<int> recording{0};
     std::vector<std::thread> recorders;
     for (int t = 0; t < 2; ++t) {
         recorders.emplace_back([&] {
+            bool first = true;
             while (!stop.load(std::memory_order_relaxed)) {
-                ProfScope o(outer);
-                ProfScope i(inner);
-                spin(5'000);
+                {
+                    ProfScope o(outer);
+                    ProfScope i(inner);
+                    spin(5'000);
+                }
+                if (first)
+                    recording.fetch_add(1, std::memory_order_release);
+                first = false;
             }
         });
     }
     std::vector<std::thread> scrapers;
     for (int t = 0; t < 2; ++t) {
         scrapers.emplace_back([&] {
+            while (recording.load(std::memory_order_acquire) < 2)
+                std::this_thread::yield();
             for (int i = 0; i < 50; ++i) {
                 (void)reg.snapshot();
                 (void)reg.toText();

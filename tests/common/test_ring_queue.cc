@@ -1,9 +1,10 @@
 /**
  * @file
  * RingQueue unit tests: the ring backs the SLO monitor's per-step
- * queues, so it must behave exactly like the std::deque it replaced
- * (checked differentially through wrap-around and growth) while
- * keeping its storage once warmed.
+ * queues and the TraceLog and Tracer record rings, so it must behave
+ * exactly like the std::deque it replaced (checked differentially
+ * through wrap-around and growth) while keeping its storage once
+ * warmed.
  */
 
 #include <cstdint>
@@ -65,4 +66,19 @@ TEST(RingQueue, SteadyStreamKeepsItsStorage)
     EXPECT_EQ(ring.front(), 100000 - 100);
     EXPECT_EQ(ring[99], 100000 - 1);
     EXPECT_EQ(ring.capacity(), capacity);
+}
+
+TEST(RingQueue, ClearEmptiesAndKeepsStorage)
+{
+    RingQueue<int> ring;
+    for (int i = 0; i < 40; ++i)
+        ring.push_back(i);
+    ring.pop_front();
+    const size_t capacity = ring.capacity();
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.capacity(), capacity);
+    ring.push_back(7);
+    EXPECT_EQ(ring.size(), 1u);
+    EXPECT_EQ(ring.front(), 7);
 }

@@ -2,18 +2,24 @@
  * @file
  * GlobalRouter suite: locality routing, the cross-region conservation
  * ledger, black-hole quarantine with reroute, retry-amplification
- * accounting, and deterministic exports.
+ * accounting, deterministic exports, and z-pages scraped while the
+ * routing ring changes.
  */
 
 #include "global/global_router.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/consistent_hash.h"
 #include "cluster/work.h"
+#include "common/debug_server.h"
+#include "support/http_client.h"
+#include "support/mini_json.h"
 #include "workload/traffic.h"
 
 namespace wsva::global {
@@ -161,8 +167,8 @@ TEST(GlobalRouter, SpillOrderFollowsTheRing)
     cfg.spill_load_factor = 2.0;
     const uint64_t video = 77;
     std::vector<int> walk;
-    for (int r : wsva::cluster::ConsistentHashRing({0, 1, 2, 3},
-                                                   cfg.ring_virtual_nodes)
+    for (int r : wsva::cluster::ConsistentHashRing(
+                     {0, 1, 2, 3}, GlobalRouterConfig::kRingVirtualNodes)
                      .affinitySet(video, 4)) {
         if (r != 0)
             walk.push_back(r);
@@ -229,8 +235,8 @@ TEST(GlobalRouter, SpillOrderFollowsTheRing)
             router.runFor(4.0);
         ASSERT_TRUE(router.status(0).quarantined);
         const int primary =
-            wsva::cluster::ConsistentHashRing({1, 2, 3},
-                                              qcfg.ring_virtual_nodes)
+            wsva::cluster::ConsistentHashRing(
+                {1, 2, 3}, GlobalRouterConfig::kRingVirtualNodes)
                 .affinitySet(video, 1)
                 .front();
         EXPECT_EQ(probe(router), primary);
@@ -487,6 +493,71 @@ TEST(GlobalRouter, StatusTextShowsRegionTable)
     EXPECT_NE(text.find("region 0"), std::string::npos);
     EXPECT_NE(text.find("region 1"), std::string::npos);
     EXPECT_NE(text.find("ledger: holds"), std::string::npos);
+}
+
+// ---- Z-pages ----------------------------------------------------
+
+TEST(GlobalRouter, ZPagesScrapeSafelyWhileRegionsFlip)
+{
+    // /healthz and /statusz run on handler threads while router steps
+    // quarantine and readmit a black-holed region, so the ring's
+    // region set changes under them. The handlers may read only the
+    // status the router publishes; under the tsan preset a read of
+    // the ring itself is a reported race.
+    GlobalRouterConfig cfg = twoRegionConfig();
+    configureBlackHole(cfg.cluster);
+    cfg.health.min_window_attempts = 1;
+    cfg.health.window_steps = 1;
+    cfg.health.min_quarantine_seconds = cfg.step_seconds;
+    GlobalRouter router(cfg);
+    router.region(0).forceSilentFaults(0.4);
+
+    wsva::DebugServer server;
+    router.attachDebugServer(server, "router test");
+    ASSERT_TRUE(server.start());
+    const uint16_t port = server.port();
+
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> scrapes{0};
+    std::atomic<bool> failed{false};
+    std::thread scraper([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+            const auto health = wsva::testsupport::httpGet(port, "/healthz");
+            const auto status = wsva::testsupport::httpGet(port, "/statusz");
+            if (health.status != 200 ||
+                health.body.find("\"routable\": ") == std::string::npos ||
+                status.status != 200 ||
+                status.body.find("region 1") == std::string::npos)
+                failed.store(true, std::memory_order_relaxed);
+            scrapes.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
+    // Start stepping once the scraper is serving, so the scrapes
+    // overlap the ring flips.
+    while (scrapes.load(std::memory_order_relaxed) == 0)
+        std::this_thread::yield();
+    RegionalUploadTraffic traffic(2, lightUploads(47));
+    const auto arrivals = regionalFn(traffic);
+    for (int step = 0; step < 200; ++step)
+        router.runFor(cfg.step_seconds, arrivals);
+    stop.store(true, std::memory_order_release);
+    scraper.join();
+
+    const RegionStatus &st0 = router.status(0);
+    EXPECT_GE(st0.quarantine_entries + st0.readmissions, 20u);
+    EXPECT_FALSE(failed.load());
+    EXPECT_EQ(router.auditViolations(), 0u);
+
+    // The published count is the ring's as of the last router step.
+    const auto health = wsva::testsupport::httpGet(port, "/healthz");
+    wsva::testsupport::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(wsva::testsupport::parseJson(health.body, &doc, &error))
+        << error;
+    EXPECT_EQ(doc.numberAt("routable"),
+              static_cast<double>(router.routableRegions()));
+    EXPECT_EQ(doc.numberAt("regions"), 2.0);
+    server.stop();
 }
 
 } // namespace
