@@ -1,8 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
-#include <exception>
-
 #include "common/logging.h"
 #include "common/profiler.h"
 #include "common/trace.h"
@@ -19,131 +16,84 @@ ThreadPool::resolveThreads(int requested)
 }
 
 std::shared_ptr<ThreadPool>
-ThreadPool::shared(int workers)
+ThreadPool::shared(int num_threads)
 {
     static std::mutex mutex;
     static std::shared_ptr<ThreadPool> pool;
     std::lock_guard<std::mutex> lock(mutex);
-    if (!pool || pool->workerCount() != workers)
-        pool = std::make_shared<ThreadPool>(workers);
+    if (!pool || pool->threadCount() != num_threads)
+        pool = std::make_shared<ThreadPool>(num_threads);
     return pool;
 }
 
 ThreadPool::ThreadPool(int num_threads)
 {
     const int count = resolveThreads(num_threads);
-    WSVA_ASSERT(count >= 1, "thread pool needs at least one worker");
-    queues_.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    workers_.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-        workers_.emplace_back(
-            [this, i] { workerLoop(static_cast<size_t>(i)); });
-    }
+    WSVA_ASSERT(count >= 1, "thread pool needs at least one thread");
+    helpers_.reserve(static_cast<size_t>(count - 1));
+    for (int i = 0; i + 1 < count; ++i)
+        helpers_.emplace_back([this, i] { helperLoop(i); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
-    wakeup_.notify_all();
-    for (auto &w : workers_)
-        w.join();
+    wake_.notify_all();
+    for (auto &h : helpers_)
+        h.join();
 }
 
 void
-ThreadPool::enqueue(std::function<void()> job)
+ThreadPool::drain(const std::function<void(size_t)> &body, size_t count)
 {
-    // Span-context propagation: a job submitted from inside a traced
-    // span runs with that span as its parent, no matter which worker
-    // picks it up (or steals it). With tracing disabled this costs a
-    // thread-local read and one predictable branch; the wrapper (and
-    // its allocation) only exists while a tracer is live and enabled.
-    const SpanContext ctx = currentSpanContext();
-    if (ctx.tracer != nullptr && ctx.tracer->enabled()) {
-        job = [ctx, inner = std::move(job)] {
-            ScopedSpanContext scope(ctx);
-            inner();
-        };
-    }
-
-    const size_t target =
-        next_queue_.fetch_add(1, std::memory_order_relaxed) %
-        queues_.size();
-    // Count the job before publishing it, and do the increment under
-    // sleep_mutex_: a worker that just evaluated the wait predicate
-    // (seeing pending_ == 0) holds that mutex until it blocks, so the
-    // increment — and therefore the notify below — cannot slip into
-    // the window between its predicate check and its wait, which
-    // would lose the wakeup and strand the job. Incrementing before
-    // the push also means a concurrent pop can never drive pending_
-    // below zero (it is unsigned; underflow would leave the wait
-    // predicate spuriously true).
-    {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-        pending_.fetch_add(1, std::memory_order_release);
-    }
-    {
-        std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-        queues_[target]->jobs.push_back(std::move(job));
-    }
-    wakeup_.notify_one();
-}
-
-bool
-ThreadPool::tryGetJob(size_t self, std::function<void()> &job)
-{
-    // Own deque first, newest job first: it is the cache-warm one.
-    {
-        auto &q = *queues_[self];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (!q.jobs.empty()) {
-            job = std::move(q.jobs.back());
-            q.jobs.pop_back();
-            return true;
+    while (!failed_.load(std::memory_order_acquire)) {
+        const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count)
+            return;
+        try {
+            body(i);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!error_)
+                error_ = std::current_exception();
+            failed_.store(true, std::memory_order_release);
         }
     }
-    // Steal the oldest job from a sibling.
-    const size_t n = queues_.size();
-    for (size_t off = 1; off < n; ++off) {
-        auto &q = *queues_[(self + off) % n];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        if (!q.jobs.empty()) {
-            job = std::move(q.jobs.front());
-            q.jobs.pop_front();
-            return true;
-        }
-    }
-    return false;
 }
 
 void
-ThreadPool::workerLoop(size_t self)
+ThreadPool::helperLoop(int index)
 {
     static const int kJobPhase = prof::phaseId("pool/job");
     prof::ProfileRegistry::instance().setThreadName(
-        strformat("pool-%zu", self));
+        strformat("pool-%d", index));
+    uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        std::function<void()> job;
-        if (tryGetJob(self, job)) {
-            pending_.fetch_sub(1, std::memory_order_acq_rel);
-            {
-                // Attribute job bodies (and any codec kernels they
-                // nest) to this worker's profile.
-                prof::ProfScope prof_job(kJobPhase);
-                job();
-            }
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(sleep_mutex_);
-        wakeup_.wait(lock, [this] {
-            return stop_ || pending_.load(std::memory_order_acquire) > 0;
+        // Join only a fan-out that is still open and not yet served;
+        // one that closed while this helper slept is skipped.
+        wake_.wait(lock, [&] {
+            return stop_ || (body_ != nullptr && generation_ != seen);
         });
-        if (stop_ && pending_.load(std::memory_order_acquire) == 0)
+        if (stop_)
             return;
+        seen = generation_;
+        ++joined_;
+        const auto &body = *body_;
+        const size_t count = count_;
+        const SpanContext context = *context_;
+        lock.unlock();
+        {
+            ScopedSpanContext scope(context);
+            prof::ProfScope prof_job(kJobPhase);
+            drain(body, count);
+        }
+        lock.lock();
+        if (--joined_ == 0)
+            left_.notify_one();
     }
 }
 
@@ -151,55 +101,59 @@ void
 ThreadPool::parallelFor(size_t count,
                         const std::function<void(size_t)> &body)
 {
-    if (count == 0)
-        return;
-    if (count == 1) {
-        body(0);
+    const SpanContext context = currentSpanContext();
+    bool fan_out = false;
+    if (count > 1 && !helpers_.empty()) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // A running fan-out holds the helpers (this call is nested in
+        // one of its bodies, or comes from another thread); waiting
+        // for them could deadlock, so such a call runs inline.
+        fan_out = !busy_;
+        if (fan_out) {
+            busy_ = true;
+            body_ = &body;
+            context_ = &context;
+            count_ = count;
+            ++generation_;
+            error_ = nullptr;
+            next_.store(0, std::memory_order_relaxed);
+            failed_.store(false, std::memory_order_relaxed);
+        }
+    }
+    if (!fan_out) {
+        for (size_t i = 0; i < count; ++i)
+            body(i);
         return;
     }
+    wake_.notify_all();
+    drain(body, count);
 
-    struct ForState
+    std::exception_ptr error;
     {
-        std::atomic<size_t> next{0};
-        std::atomic<bool> failed{false};
-        std::mutex error_mutex;
-        std::exception_ptr error;
-    };
-    auto state = std::make_shared<ForState>();
+        // Close the fan-out so late helpers stay parked, then wait
+        // only for the helpers that joined: they still read body.
+        std::unique_lock<std::mutex> lock(mutex_);
+        body_ = nullptr;
+        context_ = nullptr;
+        left_.wait(lock, [this] { return joined_ == 0; });
+        busy_ = false;
+        error = std::move(error_);
+    }
+    if (error)
+        std::rethrow_exception(error);
+}
 
-    auto drain = [state, count, &body] {
-        while (true) {
-            const size_t i =
-                state->next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count ||
-                state->failed.load(std::memory_order_acquire)) {
-                return;
-            }
-            try {
-                body(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(state->error_mutex);
-                if (!state->error)
-                    state->error = std::current_exception();
-                state->failed.store(true, std::memory_order_release);
-            }
-        }
-    };
-
-    // One helper per worker (bounded by the iteration count; the
-    // caller drains too, so helpers that never get scheduled before
-    // the space is exhausted simply return).
-    const size_t helpers =
-        std::min(count - 1, static_cast<size_t>(workerCount()));
-    std::vector<std::future<void>> futures;
-    futures.reserve(helpers);
-    for (size_t h = 0; h < helpers; ++h)
-        futures.push_back(submit(drain));
-    drain();
-    for (auto &f : futures)
-        f.get();
-    if (state->error)
-        std::rethrow_exception(state->error);
+void
+parallelFor(int num_threads, size_t count,
+            const std::function<void(size_t)> &body)
+{
+    const int threads = ThreadPool::resolveThreads(num_threads);
+    if (threads == 1 || count <= 1) {
+        for (size_t i = 0; i < count; ++i)
+            body(i);
+        return;
+    }
+    ThreadPool::shared(threads)->parallelFor(count, body);
 }
 
 } // namespace wsva

@@ -1,24 +1,24 @@
 /**
  * @file
- * A general-purpose work-stealing thread pool.
+ * A fork-join thread pool whose one operation is parallelFor.
  *
  * The platform encodes many closed-GOP chunks and MOT ladder rungs
  * concurrently across encoder cores (paper Figures 2 and 5); this
  * pool is the software stand-in for that parallelism, shared by the
- * platform pipeline, cluster code, and benches.
+ * transcode pipeline, the optimizer's probes, and benches.
  *
- * Design: a fixed set of workers, one deque per worker. submit()
- * distributes jobs round-robin; a worker services its own deque in
- * LIFO order (cache-warm) and steals from its siblings in FIFO order
- * (oldest first, reduces contention). parallelFor() is a helper for
- * index-space fan-out in which the calling thread participates, so it
- * is deadlock-free even when the pool is saturated.
+ * Design: a pool of N threads is the parallelFor caller plus N-1
+ * parked helpers. A fan-out publishes one index range under the
+ * pool's mutex, wakes the helpers and drains indices on the caller
+ * too; it then waits only for the helpers that joined. A parallelFor
+ * called while another fan-out of the same pool is running (nested
+ * in a body, or from another thread) runs inline on its own caller,
+ * so the pool cannot deadlock.
  *
- * Trace integration: submit()/parallelFor() capture the submitter's
- * span context (common/trace.h) and restore it around job execution,
- * so spans opened inside pool jobs correctly parent to the span that
- * spawned them — including across work stealing. Disabled tracing
- * adds only a thread-local read and a predictable branch per submit.
+ * Trace integration: each helper runs a fan-out under the caller's
+ * span context (common/trace.h), so spans opened inside the bodies
+ * parent to the caller's current span, on every thread.
+ * Helper time is attributed to the `pool/job` profiler phase.
  */
 
 #ifndef WSVA_COMMON_THREAD_POOL_H
@@ -27,56 +27,47 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace wsva {
+
+struct SpanContext;
 
 class ThreadPool
 {
   public:
     /**
-     * Create a pool with @p num_threads workers. 0 (the default)
-     * means one worker per hardware thread.
+     * Create a pool of @p num_threads threads in total: the caller of
+     * parallelFor plus num_threads - 1 helpers. 0 (the default) means
+     * one thread per hardware thread.
      */
     explicit ThreadPool(int num_threads = 0);
 
-    /** Completes all queued work, then joins the workers. */
+    /** Stops and joins the helpers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Number of worker threads. */
-    int workerCount() const { return static_cast<int>(workers_.size()); }
-
-    /**
-     * Enqueue a callable; the returned future carries its result (or
-     * its exception).
-     */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
+    /** Threads a fan-out runs on, the caller included. */
+    int threadCount() const
     {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> future = task->get_future();
-        enqueue([task] { (*task)(); });
-        return future;
+        return static_cast<int>(helpers_.size()) + 1;
     }
 
     /**
-     * Run body(i) for every i in [0, count). The caller participates
-     * in the work; the call returns when every index has completed.
-     * The first exception thrown by any body is rethrown here (the
-     * remaining indices are abandoned once a failure is observed).
+     * Run body(i) for every i in [0, count) on up to threadCount()
+     * threads, the caller among them; returns when every index has
+     * completed. The first exception thrown by any body is rethrown
+     * here (the remaining indices are abandoned once a failure is
+     * observed). A call made while another fan-out of this pool is
+     * running runs every index inline on its caller.
      */
     void parallelFor(size_t count,
                      const std::function<void(size_t)> &body);
@@ -91,32 +82,45 @@ class ThreadPool
      * Process-wide pool, created lazily and reused across calls so
      * repeated short fan-outs (back-to-back transcodes, optimizer
      * probes) do not pay thread creation/join per invocation.
-     * Rebuilt only when @p workers differs from the current size;
-     * the shared_ptr keeps the old pool alive for in-flight callers
-     * if a concurrent call with a different size swaps it out.
+     * Rebuilt only when @p num_threads differs from the current
+     * size; the shared_ptr keeps the old pool alive for in-flight
+     * callers if a concurrent call with a different size swaps it
+     * out.
      */
-    static std::shared_ptr<ThreadPool> shared(int workers);
+    static std::shared_ptr<ThreadPool> shared(int num_threads);
 
   private:
-    /** One worker's job deque with its own lock. */
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> jobs;
-    };
+    void helperLoop(int index);
+    /** Claim and run indices of the current fan-out until none left. */
+    void drain(const std::function<void(size_t)> &body, size_t count);
 
-    void enqueue(std::function<void()> job);
-    void workerLoop(size_t self);
-    bool tryGetJob(size_t self, std::function<void()> &job);
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-    std::atomic<size_t> next_queue_{0};
-    std::atomic<size_t> pending_{0};
-    std::mutex sleep_mutex_;
-    std::condition_variable wakeup_;
+    std::mutex mutex_;
+    std::condition_variable wake_; //!< Helpers: a fan-out or stop.
+    std::condition_variable left_; //!< Caller: the last helper left.
+    // The current fan-out, published and closed under mutex_.
+    const std::function<void(size_t)> *body_ = nullptr;
+    const SpanContext *context_ = nullptr;
+    size_t count_ = 0;
+    uint64_t generation_ = 0;
+    bool busy_ = false;  //!< A fan-out owns the helpers.
+    int joined_ = 0;     //!< Helpers inside the current fan-out.
     bool stop_ = false;
+    std::exception_ptr error_;
+    // Lock-free per-fan-out cursor, reset under mutex_ before publish.
+    std::atomic<size_t> next_{0};
+    std::atomic<bool> failed_{false};
+    std::vector<std::thread> helpers_;
 };
+
+/**
+ * Run body(i) for every i in [0, count) on
+ * ThreadPool::resolveThreads(num_threads) threads, the caller
+ * included. One thread, or count <= 1, is a plain loop on the
+ * caller: no pool is built and no lock is taken. Otherwise the
+ * fan-out runs on ThreadPool::shared().
+ */
+void parallelFor(int num_threads, size_t count,
+                 const std::function<void(size_t)> &body);
 
 } // namespace wsva
 

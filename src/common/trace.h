@@ -7,9 +7,9 @@
  * The PR 2 metrics layer counts *what* happened (counters, gauges,
  * the TraceLog event ring); this module records *where time went*.
  * A Span is an RAII interval with parent/child linkage carried in a
- * thread-local context that propagates across ThreadPool::submit /
- * parallelFor — a job submitted from inside a span runs with that
- * span as its parent, even when a sibling worker steals it.
+ * thread-local context that propagates across ThreadPool::parallelFor
+ * — a body run from inside a span has that span as its parent, on
+ * the caller and on every pool helper alike.
  *
  * Two clock domains coexist on one timeline:
  *  - Wall spans (RAII `Span`) timestamp real work in microseconds of
@@ -191,9 +191,8 @@ class Tracer
 
 /**
  * The thread-local span context: which tracer and span the current
- * thread is "inside". Propagated across ThreadPool::submit (and
- * therefore parallelFor) so pool jobs inherit their submitter's span
- * as parent.
+ * thread is "inside". Propagated across ThreadPool::parallelFor so
+ * bodies run on pool helpers inherit the caller's span as parent.
  */
 struct SpanContext
 {
@@ -206,8 +205,8 @@ SpanContext currentSpanContext();
 
 /**
  * Install a span context for the current scope and restore the
- * previous one on destruction. ThreadPool wraps submitted jobs in
- * one of these; it is also the hook for custom executors.
+ * previous one on destruction. A ThreadPool helper runs each fan-out
+ * inside one of these; it is also the hook for custom executors.
  */
 class ScopedSpanContext
 {

@@ -1,11 +1,10 @@
 #include "platform/dynamic_optimizer.h"
 
 #include <algorithm>
-#include <chrono>
-#include <functional>
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/profiler.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "platform/rq_cache.h"
@@ -59,20 +58,6 @@ RateQualityCurve::bestUnderRate(double max_bitrate_bps) const
                              });
 }
 
-namespace {
-
-/** Monotonic wall-clock seconds for probe-timing histograms. */
-double
-wallSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
-
 RateQualityCurve
 buildRateQualityCurve(const std::vector<wsva::video::Frame> &clip,
                       const DynamicOptimizerConfig &cfg)
@@ -96,7 +81,7 @@ buildRateQualityCurve(const std::vector<wsva::video::Frame> &clip,
     const auto probe = [&](size_t i) {
         wsva::Span span(cfg.tracer, "probe_encode", "optimizer");
         span.arg("qp", static_cast<uint64_t>(qps[i]));
-        const double t0 = wallSeconds();
+        const uint64_t t0 = prof::nowNs();
         const int qp = qps[i];
         EncoderConfig ecfg;
         ecfg.codec = cfg.codec;
@@ -116,27 +101,12 @@ buildRateQualityCurve(const std::vector<wsva::video::Frame> &clip,
         point.psnr_db = wsva::video::sequencePsnr(clip, decoded.frames);
         if (cfg.metrics != nullptr) {
             cfg.metrics->observe("optimizer.probe_ms",
-                                 (wallSeconds() - t0) * 1e3, 0.0, 60e3,
+                                 (prof::nowNs() - t0) * 1e-6, 0.0, 60e3,
                                  100);
         }
     };
 
-    wsva::ThreadPool *pool = cfg.pool;
-    std::shared_ptr<wsva::ThreadPool> shared;
-    if (pool == nullptr && qps.size() > 1) {
-        const int want =
-            wsva::ThreadPool::resolveThreads(cfg.num_threads);
-        if (want > 1) {
-            shared = wsva::ThreadPool::shared(want);
-            pool = shared.get();
-        }
-    }
-    if (pool != nullptr) {
-        pool->parallelFor(qps.size(), probe);
-    } else {
-        for (size_t i = 0; i < qps.size(); ++i)
-            probe(i);
-    }
+    wsva::parallelFor(cfg.num_threads, qps.size(), probe);
 
     if (cfg.metrics != nullptr) {
         cfg.metrics->inc("optimizer.curves_built");

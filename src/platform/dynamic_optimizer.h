@@ -25,7 +25,6 @@
 
 namespace wsva {
 class MetricsRegistry;
-class ThreadPool;
 class Tracer;
 }
 
@@ -70,19 +69,12 @@ struct DynamicOptimizerConfig
     double fps = 30.0;
 
     /**
-     * Worker threads for the per-QP probe fan-out: 0 = one per
-     * hardware thread, 1 = fully serial (no pool). Probes are
-     * independent ConstQp encodes landing in pre-assigned slots, so
-     * every schedule produces a bit-identical curve.
+     * Threads for the per-QP probe fan-out, the caller included:
+     * 0 = one per hardware thread, 1 = fully serial (no pool).
+     * Probes are independent ConstQp encodes landing in pre-assigned
+     * slots, so every schedule produces a bit-identical curve.
      */
     int num_threads = 0;
-
-    /**
-     * Optional externally owned pool for the fan-out (e.g. the one
-     * the transcode pipeline shares). When set it is used as-is and
-     * num_threads is ignored; must outlive the call.
-     */
-    wsva::ThreadPool *pool = nullptr;
 
     /**
      * Optional metrics sink (not owned; must outlive the call).
@@ -112,8 +104,8 @@ struct DynamicOptimizerConfig
  * Probe the clip at every configured quantizer and return its
  * rate-quality curve (each point carries the finished encode, so
  * selecting a point is free). Probe encodes and their PSNR decodes
- * fan out onto the configured thread pool; the result is
- * bit-identical to the serial path.
+ * fan out over cfg.num_threads threads; the result is bit-identical
+ * to the serial path.
  */
 RateQualityCurve buildRateQualityCurve(
     const std::vector<wsva::video::Frame> &clip,

@@ -1,11 +1,7 @@
 #include "platform/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <functional>
-#include <memory>
-#include <mutex>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -72,16 +68,6 @@ namespace {
  */
 constexpr double kLadderBitrateExponent = 0.75;
 
-/** Monotonic wall-clock seconds for encode-timing histograms. */
-double
-wallSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
-
 /** Scale one source chunk to a rung and encode it. */
 EncodedChunk
 encodeChunkJob(const std::vector<Frame> &chunk, Resolution resolution,
@@ -144,34 +130,6 @@ transcodeMot(const std::vector<Frame> &source,
     transcode_span.arg("chunks", chunks.size());
     transcode_span.arg("rungs", outputs.size());
 
-    // Chunks are closed GOPs and rungs are independent, so the
-    // chunk x rung encode jobs are embarrassingly parallel. Every
-    // result lands in its pre-assigned slot, so scheduling order
-    // never affects the output bytes. Workers come from the caller's
-    // pool if one is supplied, else from the shared process-wide
-    // pool; parallelFor bounds its helpers by the job count, so small
-    // jobs never over-subscribe.
-    std::shared_ptr<wsva::ThreadPool> shared;
-    wsva::ThreadPool *pool = cfg.pool;
-    if (pool == nullptr) {
-        const int want_threads =
-            wsva::ThreadPool::resolveThreads(cfg.num_threads);
-        if (want_threads > 1 && jobs > 1) {
-            shared = wsva::ThreadPool::shared(want_threads);
-            pool = shared.get();
-        }
-    }
-
-    const auto runFor = [&](size_t count,
-                            const std::function<void(size_t)> &body) {
-        if (pool) {
-            pool->parallelFor(count, body);
-        } else {
-            for (size_t i = 0; i < count; ++i)
-                body(i);
-        }
-    };
-
     if (cfg.metrics != nullptr) {
         cfg.metrics->inc("pipeline.transcodes");
         cfg.metrics->inc("pipeline.chunks", chunks.size());
@@ -184,14 +142,14 @@ transcodeMot(const std::vector<Frame> &source,
     std::vector<FirstPassStats> chunk_stats;
     if (cfg.encoder.rc_mode != RcMode::ConstQp) {
         chunk_stats.resize(chunks.size());
-        runFor(chunks.size(), [&](size_t i) {
+        wsva::parallelFor(cfg.num_threads, chunks.size(), [&](size_t i) {
             wsva::Span span(cfg.tracer, "first_pass", "pipeline");
             span.arg("chunk", i);
-            const double t0 = wallSeconds();
+            const uint64_t t0 = prof::nowNs();
             chunk_stats[i] = runFirstPass(chunks[i]);
             if (cfg.metrics != nullptr) {
                 cfg.metrics->observe("pipeline.first_pass_ms",
-                                     (wallSeconds() - t0) * 1e3, 0.0,
+                                     (prof::nowNs() - t0) * 1e-6, 0.0,
                                      10e3, 100);
             }
         });
@@ -221,7 +179,11 @@ transcodeMot(const std::vector<Frame> &source,
                 wsva::strformat("pipeline.rung%zu.encode_ms", r));
     }
 
-    runFor(jobs, [&](size_t j) {
+    // Chunks are closed GOPs and rungs are independent, so the
+    // chunk x rung encode jobs are embarrassingly parallel. Every
+    // result lands in its pre-assigned slot, so scheduling order
+    // never affects the output bytes.
+    wsva::parallelFor(cfg.num_threads, jobs, [&](size_t j) {
         const size_t r = j / chunks.size();
         const size_t i = j % chunks.size();
         wsva::Span span(cfg.tracer, "encode_chunk", "pipeline");
@@ -231,11 +193,11 @@ transcodeMot(const std::vector<Frame> &source,
         const double rel =
             static_cast<double>(res.width) * res.height / top_pixels;
         const double scale = std::pow(rel, kLadderBitrateExponent);
-        const double t0 = wallSeconds();
+        const uint64_t t0 = prof::nowNs();
         result.variants[r].chunks[i] = encodeChunkJob(
             chunks[i], res, codec, cfg, chunk_stats, i, scale);
         if (cfg.metrics != nullptr) {
-            const double ms = (wallSeconds() - t0) * 1e3;
+            const double ms = (prof::nowNs() - t0) * 1e-6;
             cfg.metrics->observe("pipeline.chunk_encode_ms", ms, 0.0,
                                  10e3, 100);
             cfg.metrics->observe(rung_metric[r], ms, 0.0, 10e3, 100);
@@ -248,7 +210,7 @@ transcodeMot(const std::vector<Frame> &source,
     // scan order.
     std::vector<std::string> errors(result.variants.size());
     std::vector<char> failed(result.variants.size(), 0);
-    runFor(result.variants.size(), [&](size_t v) {
+    wsva::parallelFor(cfg.num_threads, result.variants.size(), [&](size_t v) {
         wsva::Span span(cfg.tracer, "verify_variant", "pipeline");
         span.arg("rung", v);
         std::string error;

@@ -18,7 +18,6 @@
 
 namespace wsva {
 class MetricsRegistry;
-class ThreadPool;
 class Tracer;
 }
 
@@ -63,25 +62,17 @@ struct PipelineConfig
     int chunk_frames = 30;  //!< Chunk length in frames.
 
     /**
-     * Worker threads for the chunk x rung encode fan-out: 0 = one per
-     * hardware thread, 1 = fully serial (no pool). Chunks are closed
-     * GOPs and rungs are independent, so every schedule produces
-     * bit-identical output — results are assembled in chunk order
-     * regardless of completion order. Workers come from a
-     * process-wide pool that is created lazily and reused across
+     * Threads for the first-pass, chunk x rung encode and verify
+     * fan-outs, the caller included: 0 = one per hardware thread,
+     * 1 = fully serial (no pool). Chunks are closed GOPs and rungs
+     * are independent, so every schedule produces bit-identical
+     * output — results are assembled in chunk order regardless of
+     * completion order. The fan-outs run on the process-wide
+     * ThreadPool::shared() pool, created lazily and reused across
      * transcode calls, so back-to-back short clips do not pay thread
      * creation/join per invocation.
      */
     int num_threads = 0;
-
-    /**
-     * Optional externally owned pool for the fan-out (e.g. one shared
-     * by a cluster scheduler). When set it is used as-is and
-     * num_threads is ignored; when null, the process-wide pool sized
-     * by num_threads is used. The pool must outlive the transcode
-     * call.
-     */
-    wsva::ThreadPool *pool = nullptr;
 
     /**
      * Optional metrics sink (not owned; must outlive the call). When

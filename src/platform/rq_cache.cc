@@ -32,7 +32,7 @@ fnv1aU64(uint64_t hash, uint64_t value)
     return hash;
 }
 
-/** splitmix64 finalizer: spreads key bits for shard selection. */
+/** splitmix64 finalizer: spreads key bits across hash buckets. */
 uint64_t
 mix64(uint64_t x)
 {
@@ -102,12 +102,6 @@ RqCache::RqCache(RqCacheConfig cfg)
     : capacity_bytes_(cfg.capacity_bytes), metrics_(cfg.metrics),
       tracer_(cfg.tracer)
 {
-    const size_t shard_count = std::max<size_t>(1, cfg.shards);
-    shard_capacity_bytes_ =
-        std::max<size_t>(1, capacity_bytes_ / shard_count);
-    shards_.reserve(shard_count);
-    for (size_t s = 0; s < shard_count; ++s)
-        shards_.push_back(std::make_unique<Shard>());
     if (metrics_ != nullptr) {
         hit_counter_ = metrics_->counterHandle("rq_cache.hits");
         miss_counter_ = metrics_->counterHandle("rq_cache.misses");
@@ -119,22 +113,15 @@ RqCache::RqCache(RqCacheConfig cfg)
     }
 }
 
-RqCache::Shard &
-RqCache::shardFor(const RqCacheKey &key)
-{
-    return *shards_[KeyHash{}(key) % shards_.size()];
-}
-
 std::shared_ptr<const RateQualityCurve>
 RqCache::get(const RqCacheKey &key)
 {
-    Shard &shard = shardFor(key);
     std::shared_ptr<const RateQualityCurve> curve;
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.index.find(key);
-        if (it != shard.index.end()) {
-            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = index_.find(key);
+        if (it != index_.end()) {
+            lru_.splice(lru_.begin(), lru_, it->second);
             curve = it->second->curve;
         }
     }
@@ -159,32 +146,30 @@ RqCache::put(const RqCacheKey &key,
 {
     WSVA_ASSERT(curve != nullptr, "cannot cache a null curve");
     const size_t bytes = curveFootprintBytes(*curve);
-    if (bytes > shard_capacity_bytes_)
-        return; // Would evict the whole shard for one entry.
+    if (bytes > capacity_bytes_)
+        return; // Would evict the whole cache for one entry.
 
-    Shard &shard = shardFor(key);
     uint64_t evicted = 0;
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        auto it = shard.index.find(key);
-        if (it != shard.index.end()) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = index_.find(key);
+        if (it != index_.end()) {
             // Refresh in place (same content key, e.g. re-probe).
-            shard.bytes -= it->second->bytes;
+            bytes_ -= it->second->bytes;
             it->second->curve = std::move(curve);
             it->second->bytes = bytes;
-            shard.bytes += bytes;
-            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+            bytes_ += bytes;
+            lru_.splice(lru_.begin(), lru_, it->second);
         } else {
-            shard.lru.push_front(Entry{key, std::move(curve), bytes});
-            shard.index.emplace(key, shard.lru.begin());
-            shard.bytes += bytes;
+            lru_.push_front(Entry{key, std::move(curve), bytes});
+            index_.emplace(key, lru_.begin());
+            bytes_ += bytes;
         }
-        while (shard.bytes > shard_capacity_bytes_ &&
-               shard.lru.size() > 1) {
-            const Entry &victim = shard.lru.back();
-            shard.bytes -= victim.bytes;
-            shard.index.erase(victim.key);
-            shard.lru.pop_back();
+        while (bytes_ > capacity_bytes_ && lru_.size() > 1) {
+            const Entry &victim = lru_.back();
+            bytes_ -= victim.bytes;
+            index_.erase(victim.key);
+            lru_.pop_back();
             ++evicted;
         }
     }
@@ -218,33 +203,25 @@ RqCache::stats() const
 size_t
 RqCache::sizeBytes() const
 {
-    size_t total = 0;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->bytes;
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return bytes_;
 }
 
 size_t
 RqCache::entryCount() const
 {
-    size_t total = 0;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        total += shard->lru.size();
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return lru_.size();
 }
 
 void
 RqCache::clear()
 {
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->lru.clear();
-        shard->index.clear();
-        shard->bytes = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        lru_.clear();
+        index_.clear();
+        bytes_ = 0;
     }
     publishGauges();
 }

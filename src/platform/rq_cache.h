@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded LRU cache of finished rate-quality curves.
+ * LRU cache of finished rate-quality curves.
  *
  * Section 4.5: VCUs made per-title dynamic optimization affordable at
  * upload time for the popular bucket — but affordable still means
@@ -12,12 +12,12 @@
  *
  * Keys are content-derived (clip fingerprint x codec x probe-set
  * signature), so any byte change in the source or any change to the
- * probed operating points misses cleanly. The cache is sharded — each
- * shard has its own lock, LRU list, and byte budget — so concurrent
- * optimizer calls from a thread pool do not serialize on one mutex.
- * Capacity is accounted in bytes (curves carry the finished encodes,
- * which dominate their footprint). Hit/miss/eviction/byte counters
- * are registered in a MetricsRegistry when one is supplied.
+ * probed operating points misses cleanly. One lock guards one LRU
+ * list under one byte budget; it is held for a hash probe and a list
+ * splice, never across a probe encode. Capacity is accounted in bytes
+ * (curves carry the finished encodes, which dominate their
+ * footprint). Hit/miss/eviction/byte counters are registered in a
+ * MetricsRegistry when one is supplied.
  */
 
 #ifndef WSVA_PLATFORM_RQ_CACHE_H
@@ -69,11 +69,8 @@ size_t curveFootprintBytes(const RateQualityCurve &curve);
 /** Cache configuration. */
 struct RqCacheConfig
 {
-    /** Total byte budget across shards (curves carry full encodes). */
+    /** Byte budget (curves carry full encodes). */
     size_t capacity_bytes = 256ULL << 20;
-
-    /** Lock shards (rounded up to at least 1). */
-    size_t shards = 16;
 
     /**
      * Optional metrics sink (not owned; must outlive the cache).
@@ -110,7 +107,7 @@ struct RqCacheStats
 };
 
 /**
- * Thread-safe sharded LRU of finished rate-quality curves. Curves are
+ * Thread-safe LRU of finished rate-quality curves. Curves are
  * held by shared_ptr, so a hit returns without copying and an entry
  * evicted while a caller still uses its curve stays alive for that
  * caller.
@@ -125,18 +122,18 @@ class RqCache
 
     /**
      * Insert (or refresh) @p curve under @p key, evicting LRU entries
-     * of the shard until its byte budget holds. A curve larger than a
-     * whole shard's budget is not cached.
+     * until the byte budget holds. A curve larger than the whole
+     * budget is not cached.
      */
     void put(const RqCacheKey &key,
              std::shared_ptr<const RateQualityCurve> curve);
 
     RqCacheStats stats() const;
 
-    /** Bytes currently held across shards. */
+    /** Bytes currently held. */
     size_t sizeBytes() const;
 
-    /** Entries currently held across shards. */
+    /** Entries currently held. */
     size_t entryCount() const;
 
     /** Drop every entry (counters are kept). */
@@ -157,23 +154,15 @@ class RqCache
         size_t bytes = 0;
     };
 
-    /** One lock + LRU list + index; MRU at the list front. */
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::list<Entry> lru;
-        std::unordered_map<RqCacheKey, std::list<Entry>::iterator,
-                           KeyHash>
-            index;
-        size_t bytes = 0;
-    };
-
-    Shard &shardFor(const RqCacheKey &key);
     void publishGauges();
 
     size_t capacity_bytes_;
-    size_t shard_capacity_bytes_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+
+    mutable std::mutex mutex_;
+    std::list<Entry> lru_; //!< MRU at the front.
+    std::unordered_map<RqCacheKey, std::list<Entry>::iterator, KeyHash>
+        index_;
+    size_t bytes_ = 0;
 
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};

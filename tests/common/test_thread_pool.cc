@@ -4,7 +4,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -21,100 +22,74 @@ TEST(ThreadPool, ResolveThreads)
     EXPECT_EQ(ThreadPool::resolveThreads(7), 7);
 }
 
-TEST(ThreadPool, WorkerCountMatchesRequest)
+TEST(ThreadPool, ThreadCountMatchesRequest)
 {
     ThreadPool pool(3);
-    EXPECT_EQ(pool.workerCount(), 3);
+    EXPECT_EQ(pool.threadCount(), 3);
+    ThreadPool single(1);
+    EXPECT_EQ(single.threadCount(), 1);
     ThreadPool defaulted;
-    EXPECT_GE(defaulted.workerCount(), 1);
+    EXPECT_EQ(defaulted.threadCount(), ThreadPool::resolveThreads(0));
 }
 
-TEST(ThreadPool, SubmitReturnsValue)
+TEST(ThreadPool, ParallelForRunsOnExactlyThreadCountThreads)
 {
-    ThreadPool pool(2);
-    auto f = pool.submit([] { return 6 * 7; });
-    EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitRunsOnWorkerThread)
-{
-    ThreadPool pool(2);
-    const auto caller = std::this_thread::get_id();
-    auto f = pool.submit([] { return std::this_thread::get_id(); });
-    EXPECT_NE(f.get(), caller);
-}
-
-TEST(ThreadPool, ManySubmitsAllComplete)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 500; ++i) {
-        futures.push_back(pool.submit(
-            [&counter] { counter.fetch_add(1); }));
-    }
-    for (auto &f : futures)
-        f.get();
-    EXPECT_EQ(counter.load(), 500);
-}
-
-TEST(ThreadPool, WorkIsStolenAcrossWorkers)
-{
-    // Round-robin placement plus stealing: with many more tasks than
-    // workers, more than one worker must end up executing tasks.
-    ThreadPool pool(4);
-    std::mutex mutex;
-    std::set<std::thread::id> seen;
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 64; ++i) {
-        futures.push_back(pool.submit([&] {
+    // A pool of N threads is the caller plus N - 1 helpers. Each body
+    // records its thread and waits (bounded) until N threads have
+    // taken bodies, so a helper that starts late still joins; the
+    // fan-out must then have run on exactly N distinct threads, the
+    // caller among them.
+    for (const int threads : {2, 3, 4}) {
+        ThreadPool pool(threads);
+        std::mutex mutex;
+        std::condition_variable arrived;
+        std::set<std::thread::id> seen;
+        pool.parallelFor(64, [&](size_t) {
+            {
+                std::unique_lock<std::mutex> lock(mutex);
+                seen.insert(std::this_thread::get_id());
+                arrived.notify_all();
+                arrived.wait_for(lock, std::chrono::seconds(10), [&] {
+                    return seen.size() >= static_cast<size_t>(threads);
+                });
+            }
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            std::lock_guard<std::mutex> lock(mutex);
-            seen.insert(std::this_thread::get_id());
-        }));
+        });
+        EXPECT_EQ(seen.size(), static_cast<size_t>(threads))
+            << "pool of " << threads;
+        EXPECT_EQ(seen.count(std::this_thread::get_id()), 1u);
     }
-    for (auto &f : futures)
-        f.get();
-    EXPECT_GT(seen.size(), 1u);
 }
 
-TEST(ThreadPool, SubmitWakesSleepingWorker)
+TEST(ThreadPool, ParallelForAfterIdleGapsWakesParkedHelper)
 {
-    // Lost-wakeup regression: enqueue must publish pending_ under the
-    // wakeup mutex, otherwise a worker can re-check its wait
-    // predicate (seeing no work), block after the producer's notify
-    // already fired, and strand the job. One-off submits separated by
-    // idle gaps make the workers park between jobs, hitting exactly
-    // that window; with the race present, a future below never
-    // becomes ready.
+    // Lost-wakeup regression: a fan-out must publish its range under
+    // the mutex the helpers wait on, otherwise a helper can re-check
+    // its wait predicate (seeing no work), block after the caller's
+    // notify already fired, and miss the fan-out. Idle gaps park the
+    // helper between fan-outs, hitting exactly that window. Each
+    // fan-out's two bodies wait for each other, so both threads must
+    // take part; a missed wakeup shows as a body timing out.
     ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
+    for (int round = 0; round < 200; ++round) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
-        auto f = pool.submit([i] { return i; });
-        ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
-                  std::future_status::ready)
-            << "submit " << i << " never ran (lost wakeup)";
-        EXPECT_EQ(f.get(), i);
+        std::atomic<int> arrived{0};
+        std::atomic<bool> timed_out{false};
+        pool.parallelFor(2, [&](size_t) {
+            arrived.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (arrived.load() < 2) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    timed_out = true;
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+        ASSERT_FALSE(timed_out.load())
+            << "fan-out " << round << " ran on one thread (lost wakeup)";
     }
-}
-
-TEST(ThreadPool, SubmitPropagatesException)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedWork)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    EXPECT_EQ(counter.load(), 64);
 }
 
 TEST(ThreadPool, ParallelForZeroItems)
@@ -175,6 +150,78 @@ TEST(ThreadPool, ParallelForUsableRepeatedly)
         std::atomic<int> counter{0};
         pool.parallelFor(17, [&](size_t) { counter.fetch_add(1); });
         ASSERT_EQ(counter.load(), 17);
+    }
+}
+
+TEST(ThreadPool, NestedParallelForRunsInlineOnItsCaller)
+{
+    // A body that fans out again must not wait for helpers its own
+    // fan-out holds: the inner call runs inline on the body's thread.
+    ThreadPool pool(4);
+    std::atomic<int> inner_runs{0};
+    std::atomic<int> off_thread{0};
+    pool.parallelFor(8, [&](size_t) {
+        const auto outer_thread = std::this_thread::get_id();
+        pool.parallelFor(8, [&](size_t) {
+            inner_runs.fetch_add(1);
+            if (std::this_thread::get_id() != outer_thread)
+                off_thread.fetch_add(1);
+        });
+    });
+    EXPECT_EQ(inner_runs.load(), 64);
+    EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRange)
+{
+    // Callers on other threads share one pool: whichever holds the
+    // helpers fans out, the others run inline, and every call still
+    // covers each of its indices exactly once.
+    ThreadPool pool(3);
+    constexpr int kCallers = 4;
+    constexpr size_t kCount = 200;
+    std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+    for (auto &h : hits)
+        h = std::vector<std::atomic<int>>(kCount);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&pool, &hits, c] {
+            for (int round = 0; round < 10; ++round) {
+                pool.parallelFor(kCount, [&](size_t i) {
+                    hits[static_cast<size_t>(c)][i].fetch_add(1);
+                });
+            }
+        });
+    }
+    for (auto &t : callers)
+        t.join();
+    for (int c = 0; c < kCallers; ++c) {
+        for (size_t i = 0; i < kCount; ++i) {
+            EXPECT_EQ(hits[static_cast<size_t>(c)][i].load(), 10)
+                << "caller " << c << " index " << i;
+        }
+    }
+}
+
+TEST(ThreadPool, FreeParallelForCoversEveryIndexAtAnyThreadCount)
+{
+    // wsva::parallelFor: 1 thread is a plain loop on the caller, more
+    // fan out on the shared pool; both cover every index once.
+    for (const int threads : {1, 3}) {
+        constexpr size_t kCount = 50;
+        std::vector<std::atomic<int>> hits(kCount);
+        std::atomic<int> off_caller{0};
+        const auto caller = std::this_thread::get_id();
+        parallelFor(threads, kCount, [&](size_t i) {
+            hits[i].fetch_add(1);
+            if (std::this_thread::get_id() != caller)
+                off_caller.fetch_add(1);
+        });
+        for (size_t i = 0; i < kCount; ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+        if (threads == 1) {
+            EXPECT_EQ(off_caller.load(), 0);
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 #include "common/trace.h"
 
 #include <atomic>
-#include <future>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -168,23 +169,39 @@ TEST(Span, ContextRestoredAfterScope)
     EXPECT_EQ(currentSpanContext().tracer, nullptr);
 }
 
-TEST(SpanContext, PropagatesAcrossSubmit)
+TEST(SpanContext, PropagatesAcrossParallelFor)
 {
+    // The two bodies wait for each other, so one of them runs on the
+    // pool's helper: its span must still parent to the caller's root.
     Tracer tracer;
     ThreadPool pool(2);
     uint64_t root_id = 0;
+    std::atomic<int> arrived{0};
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
     {
         Span root(&tracer, "root");
         root_id = root.id();
-        auto done = pool.submit([&tracer] {
+        pool.parallelFor(2, [&](size_t) {
             Span child(&tracer, "pool_child");
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                threads.insert(std::this_thread::get_id());
+            }
+            arrived.fetch_add(1);
+            while (arrived.load() < 2)
+                std::this_thread::yield();
         });
-        done.get();
     }
-    const auto spans = tracer.snapshot();
-    const SpanRecord *child = findSpan(spans, "pool_child");
-    ASSERT_NE(child, nullptr);
-    EXPECT_EQ(child->parent, root_id);
+    EXPECT_EQ(threads.size(), 2u);
+    size_t children = 0;
+    for (const auto &rec : tracer.snapshot()) {
+        if (std::string(rec.name) != "pool_child")
+            continue;
+        ++children;
+        EXPECT_EQ(rec.parent, root_id);
+    }
+    EXPECT_EQ(children, 2u);
 }
 
 TEST(SpanContext, PropagatesAcrossParallelForUnderStealing)
@@ -214,15 +231,19 @@ TEST(SpanContext, PropagatesAcrossParallelForUnderStealing)
     EXPECT_EQ(job_ids.size(), kJobs); // Ids unique across threads.
 }
 
-TEST(SpanContext, SubmitOutsideAnySpanHasNoParent)
+TEST(SpanContext, ParallelForOutsideAnySpanHasNoParent)
 {
     Tracer tracer;
     ThreadPool pool(2);
-    pool.submit([&tracer] { Span s(&tracer, "orphan"); }).get();
-    const auto spans = tracer.snapshot();
-    const SpanRecord *orphan = findSpan(spans, "orphan");
-    ASSERT_NE(orphan, nullptr);
-    EXPECT_EQ(orphan->parent, 0u);
+    pool.parallelFor(8, [&tracer](size_t) { Span s(&tracer, "orphan"); });
+    size_t orphans = 0;
+    for (const auto &rec : tracer.snapshot()) {
+        if (std::string(rec.name) != "orphan")
+            continue;
+        ++orphans;
+        EXPECT_EQ(rec.parent, 0u);
+    }
+    EXPECT_EQ(orphans, 8u);
 }
 
 TEST(SpanContext, DoesNotLeakParentAcrossTracers)
@@ -246,11 +267,16 @@ TEST(SpanContext, DisabledTracerCostsNoContextInstall)
     Tracer tracer;
     tracer.setEnabled(false);
     ThreadPool pool(2);
+    std::atomic<int> with_context{0};
     {
         Span root(&tracer, "root");
-        pool.submit([] {}).get();
+        pool.parallelFor(8, [&](size_t) {
+            if (currentSpanContext().tracer != nullptr)
+                with_context.fetch_add(1);
+        });
     }
     EXPECT_EQ(tracer.recorded(), 0u);
+    EXPECT_EQ(with_context.load(), 0);
 }
 
 TEST(ChromeExport, EmitsParsableJsonWithSpanEvents)

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "platform/rq_cache.h"
 #include "video/codec/decoder.h"
 #include "video/synth.h"
@@ -99,25 +98,6 @@ TEST(DynamicOptimizer, ParallelProbesMatchSerial)
         EXPECT_EQ(serial.points[i].bitrate_bps,
                   parallel.points[i].bitrate_bps);
         EXPECT_EQ(serial.points[i].psnr_db, parallel.points[i].psnr_db);
-        EXPECT_EQ(serial.points[i].chunk.bytes,
-                  parallel.points[i].chunk.bytes);
-    }
-}
-
-TEST(DynamicOptimizer, CallerSuppliedPoolMatchesSerial)
-{
-    const auto frames = clip();
-    DynamicOptimizerConfig serial_cfg = fastCfg();
-    serial_cfg.num_threads = 1;
-    const auto serial = buildRateQualityCurve(frames, serial_cfg);
-
-    wsva::ThreadPool pool(3);
-    DynamicOptimizerConfig pool_cfg = fastCfg();
-    pool_cfg.pool = &pool;
-    const auto parallel = buildRateQualityCurve(frames, pool_cfg);
-
-    ASSERT_EQ(serial.points.size(), parallel.points.size());
-    for (size_t i = 0; i < serial.points.size(); ++i) {
         EXPECT_EQ(serial.points[i].chunk.bytes,
                   parallel.points[i].chunk.bytes);
     }

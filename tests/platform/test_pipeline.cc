@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "video/codec/decoder.h"
 #include "video/metrics.h"
 #include "video/synth.h"
@@ -185,39 +184,6 @@ TEST(Pipeline, DefaultThreadCountMatchesSerialByteExact)
     for (size_t c = 0; c < serial.variants[0].chunks.size(); ++c) {
         EXPECT_EQ(serial.variants[0].chunks[c].bytes,
                   parallel.variants[0].chunks[c].bytes);
-    }
-}
-
-TEST(Pipeline, CallerSuppliedPoolMatchesSerialByteExact)
-{
-    // A caller-owned pool (e.g. one shared by a scheduler) is used
-    // as-is, reused across calls, and stays bit-exact vs. serial.
-    auto clip = sourceClip(20);
-    PipelineConfig cfg = fastConfig();
-    cfg.chunk_frames = 5;
-    const std::vector<Resolution> outputs = {{128, 72}, {64, 36}};
-
-    cfg.num_threads = 1;
-    auto serial = transcodeMot(clip, outputs, CodecType::H264, cfg);
-
-    wsva::ThreadPool pool(3);
-    cfg.pool = &pool;
-    auto first = transcodeMot(clip, outputs, CodecType::H264, cfg);
-    auto second = transcodeMot(clip, outputs, CodecType::H264, cfg);
-
-    ASSERT_TRUE(serial.integrity_ok) << serial.integrity_error;
-    for (const auto *run : {&first, &second}) {
-        ASSERT_TRUE(run->integrity_ok) << run->integrity_error;
-        ASSERT_EQ(serial.variants.size(), run->variants.size());
-        for (size_t v = 0; v < serial.variants.size(); ++v) {
-            const auto &sv = serial.variants[v];
-            const auto &pv = run->variants[v];
-            ASSERT_EQ(sv.chunks.size(), pv.chunks.size());
-            for (size_t c = 0; c < sv.chunks.size(); ++c) {
-                EXPECT_EQ(sv.chunks[c].bytes, pv.chunks[c].bytes)
-                    << "variant " << v << " chunk " << c;
-            }
-        }
     }
 }
 

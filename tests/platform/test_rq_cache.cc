@@ -75,7 +75,6 @@ TEST(RqCache, KeyDimensionsAllMiss)
 TEST(RqCache, EvictsLruUnderByteBudget)
 {
     RqCacheConfig cfg;
-    cfg.shards = 1; // Deterministic LRU order.
     cfg.capacity_bytes = 4096;
     RqCache cache(cfg);
     // ~1 KiB each once struct overhead counts: 3 fit, the 4th evicts.
@@ -92,7 +91,6 @@ TEST(RqCache, EvictsLruUnderByteBudget)
 TEST(RqCache, GetPromotesToMru)
 {
     RqCacheConfig cfg;
-    cfg.shards = 1;
     cfg.capacity_bytes = 4096;
     RqCache cache(cfg);
     cache.put(keyFor(0), fakeCurve(1024));
@@ -107,12 +105,27 @@ TEST(RqCache, GetPromotesToMru)
 TEST(RqCache, OversizeCurveNotCached)
 {
     RqCacheConfig cfg;
-    cfg.shards = 1;
     cfg.capacity_bytes = 1024;
     RqCache cache(cfg);
     cache.put(keyFor(1), fakeCurve(4096));
     EXPECT_EQ(cache.entryCount(), 0u);
     EXPECT_EQ(cache.get(keyFor(1)), nullptr);
+}
+
+TEST(RqCache, CurveUpToTheWholeBudgetIsCached)
+{
+    // One budget for the whole cache: a curve half its size is kept,
+    // and smaller ones fit beside it without evicting anything.
+    RqCacheConfig cfg;
+    cfg.capacity_bytes = 64 * 1024;
+    RqCache cache(cfg);
+    cache.put(keyFor(100), fakeCurve(32 * 1024));
+    for (uint64_t i = 0; i < 8; ++i)
+        cache.put(keyFor(i), fakeCurve(2 * 1024));
+    EXPECT_NE(cache.get(keyFor(100)), nullptr);
+    EXPECT_EQ(cache.entryCount(), 9u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_LE(cache.sizeBytes(), cfg.capacity_bytes);
 }
 
 TEST(RqCache, RefreshSameKeyKeepsOneEntry)
@@ -161,8 +174,7 @@ TEST(RqCache, RegistersMetricsCounters)
 TEST(RqCache, ConcurrentAccessIsSafe)
 {
     RqCacheConfig cfg;
-    cfg.shards = 4;
-    cfg.capacity_bytes = 64 * 1024;
+    cfg.capacity_bytes = 16 * 1024; // 16 keys x ~2 KiB: evicts.
     RqCache cache(cfg);
     wsva::ThreadPool pool(4);
     pool.parallelFor(256, [&](size_t i) {
