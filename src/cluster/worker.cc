@@ -182,11 +182,11 @@ vcuWorkerCapacity(uint64_t dram_bytes, double host_cpu_millicores,
     // Section 3.3.3: "each VCU has 3,000 millidecode cores and
     // 10,000 milliencode cores available".
     ResourceVector cap;
-    cap.set(kResDecodeMillicores, 3000);
-    cap.set(kResEncodeMillicores, 10000);
-    cap.set(kResDramBytes, static_cast<double>(dram_bytes));
-    cap.set(kResHostCpuMillicores, host_cpu_millicores);
-    cap.set(kResSwDecodeMillicores, sw_decode_millicores);
+    cap.set(kDimDecodeMillicores, 3000);
+    cap.set(kDimEncodeMillicores, 10000);
+    cap.set(kDimDramBytes, static_cast<double>(dram_bytes));
+    cap.set(kDimHostCpuMillicores, host_cpu_millicores);
+    cap.set(kDimSwDecodeMillicores, sw_decode_millicores);
     return cap;
 }
 

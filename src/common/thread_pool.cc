@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/profiler.h"
 #include "common/trace.h"
@@ -20,9 +22,10 @@ ThreadPool::shared(int num_threads)
 {
     static std::mutex mutex;
     static std::shared_ptr<ThreadPool> pool;
+    const int threads = resolveThreads(num_threads);
     std::lock_guard<std::mutex> lock(mutex);
-    if (!pool || pool->threadCount() != num_threads)
-        pool = std::make_shared<ThreadPool>(num_threads);
+    if (!pool || pool->threadCount() < threads)
+        pool = std::make_shared<ThreadPool>(threads);
     return pool;
 }
 
@@ -73,14 +76,17 @@ ThreadPool::helperLoop(int index)
     uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
-        // Join only a fan-out that is still open and not yet served;
-        // one that closed while this helper slept is skipped.
+        // Join only a fan-out that is still open, not yet served and
+        // short of its helpers; one that closed or filled while this
+        // helper slept is skipped.
         wake_.wait(lock, [&] {
-            return stop_ || (body_ != nullptr && generation_ != seen);
+            return stop_ || (body_ != nullptr && generation_ != seen &&
+                             slots_ > 0);
         });
         if (stop_)
             return;
         seen = generation_;
+        --slots_;
         ++joined_;
         const auto &body = *body_;
         const size_t count = count_;
@@ -99,11 +105,20 @@ ThreadPool::helperLoop(int index)
 
 void
 ThreadPool::parallelFor(size_t count,
-                        const std::function<void(size_t)> &body)
+                        const std::function<void(size_t)> &body,
+                        int max_threads)
 {
+    // Helpers this fan-out can use: one per index beyond the caller's,
+    // within the pool and the caller's thread budget.
+    const int threads = max_threads > 0
+                            ? std::min(max_threads, threadCount())
+                            : threadCount();
+    const int helpers =
+        static_cast<int>(std::min(static_cast<size_t>(threads), count)) -
+        1;
     const SpanContext context = currentSpanContext();
     bool fan_out = false;
-    if (count > 1 && !helpers_.empty()) {
+    if (helpers > 0) {
         std::lock_guard<std::mutex> lock(mutex_);
         // A running fan-out holds the helpers (this call is nested in
         // one of its bodies, or comes from another thread); waiting
@@ -114,6 +129,7 @@ ThreadPool::parallelFor(size_t count,
             body_ = &body;
             context_ = &context;
             count_ = count;
+            slots_ = helpers;
             ++generation_;
             error_ = nullptr;
             next_.store(0, std::memory_order_relaxed);
@@ -125,7 +141,8 @@ ThreadPool::parallelFor(size_t count,
             body(i);
         return;
     }
-    wake_.notify_all();
+    for (int i = 0; i < helpers; ++i)
+        wake_.notify_one();
     drain(body, count);
 
     std::exception_ptr error;
@@ -153,7 +170,7 @@ parallelFor(int num_threads, size_t count,
             body(i);
         return;
     }
-    ThreadPool::shared(threads)->parallelFor(count, body);
+    ThreadPool::shared(threads)->parallelFor(count, body, threads);
 }
 
 } // namespace wsva

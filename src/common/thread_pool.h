@@ -5,15 +5,17 @@
  * The platform encodes many closed-GOP chunks and MOT ladder rungs
  * concurrently across encoder cores (paper Figures 2 and 5); this
  * pool is the software stand-in for that parallelism, shared by the
- * transcode pipeline, the optimizer's probes, and benches.
+ * transcode pipeline, the optimizer's probes, the global router's
+ * regions, and benches.
  *
  * Design: a pool of N threads is the parallelFor caller plus N-1
  * parked helpers. A fan-out publishes one index range under the
- * pool's mutex, wakes the helpers and drains indices on the caller
- * too; it then waits only for the helpers that joined. A parallelFor
- * called while another fan-out of the same pool is running (nested
- * in a body, or from another thread) runs inline on its own caller,
- * so the pool cannot deadlock.
+ * pool's mutex, admits min(threads, count) - 1 helpers, wakes that
+ * many and drains indices on the caller too; it then waits only for
+ * the helpers that joined. A parallelFor called while another
+ * fan-out of the same pool is running (nested in a body, or from
+ * another thread) runs inline on its own caller, so the pool cannot
+ * deadlock.
  *
  * Trace integration: each helper runs a fan-out under the caller's
  * span context (common/trace.h), so spans opened inside the bodies
@@ -62,15 +64,18 @@ class ThreadPool
     }
 
     /**
-     * Run body(i) for every i in [0, count) on up to threadCount()
-     * threads, the caller among them; returns when every index has
-     * completed. The first exception thrown by any body is rethrown
-     * here (the remaining indices are abandoned once a failure is
-     * observed). A call made while another fan-out of this pool is
-     * running runs every index inline on its caller.
+     * Run body(i) for every i in [0, count) on up to
+     * min(max_threads, threadCount(), count) threads, the caller
+     * among them (max_threads <= 0 means threadCount()); only the
+     * helpers the fan-out admits are woken. Returns when every index
+     * has completed. The first exception thrown by any body is
+     * rethrown here (the remaining indices are abandoned once a
+     * failure is observed). A call made while another fan-out of this
+     * pool is running runs every index inline on its caller.
      */
     void parallelFor(size_t count,
-                     const std::function<void(size_t)> &body);
+                     const std::function<void(size_t)> &body,
+                     int max_threads = 0);
 
     /**
      * Resolve a thread-count knob: <= 0 selects the hardware
@@ -79,13 +84,15 @@ class ThreadPool
     static int resolveThreads(int requested);
 
     /**
-     * Process-wide pool, created lazily and reused across calls so
-     * repeated short fan-outs (back-to-back transcodes, optimizer
-     * probes) do not pay thread creation/join per invocation.
-     * Rebuilt only when @p num_threads differs from the current
-     * size; the shared_ptr keeps the old pool alive for in-flight
-     * callers if a concurrent call with a different size swaps it
-     * out.
+     * Process-wide pool of at least resolveThreads(@p num_threads)
+     * threads, created lazily and reused across calls so repeated
+     * short fan-outs (router steps, back-to-back transcodes,
+     * optimizer probes) do not pay thread creation/join per
+     * invocation. It only grows: a request above its size replaces
+     * it once with a pool of the requested size (the shared_ptr
+     * keeps the old one alive for in-flight callers), and a smaller
+     * request shares it, capping its own fan-outs through
+     * parallelFor's max_threads.
      */
     static std::shared_ptr<ThreadPool> shared(int num_threads);
 
@@ -103,6 +110,7 @@ class ThreadPool
     size_t count_ = 0;
     uint64_t generation_ = 0;
     bool busy_ = false;  //!< A fan-out owns the helpers.
+    int slots_ = 0;      //!< Helpers the current fan-out still admits.
     int joined_ = 0;     //!< Helpers inside the current fan-out.
     bool stop_ = false;
     std::exception_ptr error_;
@@ -113,11 +121,11 @@ class ThreadPool
 };
 
 /**
- * Run body(i) for every i in [0, count) on
+ * Run body(i) for every i in [0, count) on up to
  * ThreadPool::resolveThreads(num_threads) threads, the caller
  * included. One thread, or count <= 1, is a plain loop on the
  * caller: no pool is built and no lock is taken. Otherwise the
- * fan-out runs on ThreadPool::shared().
+ * fan-out runs on ThreadPool::shared(), capped at that many threads.
  */
 void parallelFor(int num_threads, size_t count,
                  const std::function<void(size_t)> &body);

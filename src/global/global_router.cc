@@ -5,6 +5,7 @@
 #include "common/debug_server.h"
 #include "common/logging.h"
 #include "common/profiler.h"
+#include "common/thread_pool.h"
 
 namespace wsva::global {
 
@@ -31,6 +32,7 @@ GlobalRouter::GlobalRouter(GlobalRouterConfig cfg)
     rerouted_counter_ = registry_.counterHandle("global.steps_rerouted");
 
     sims_.reserve(static_cast<size_t>(cfg_.regions));
+    deltas_.resize(static_cast<size_t>(cfg_.regions));
     gates_.reserve(static_cast<size_t>(cfg_.regions));
     status_.resize(static_cast<size_t>(cfg_.regions));
     for (int r = 0; r < cfg_.regions; ++r) {
@@ -226,22 +228,22 @@ GlobalRouter::runFor(double duration, const RegionalArrivalFn &arrivals)
             drainPending();
         }
 
-        // 3. Advance every region one slice; each run() returns the
-        //    slice's delta metrics (the per-run counters reset at
+        // 3. Advance every region one slice, in parallel: each
+        //    region touches only its own sim, and each run() returns
+        //    the slice's delta metrics (the per-run counters reset at
         //    run() start), which is exactly the windowed signal the
         //    health gates consume.
-        std::vector<ClusterMetrics> deltas;
-        deltas.reserve(static_cast<size_t>(cfg_.regions));
-        for (int r = 0; r < cfg_.regions; ++r)
-            deltas.push_back(
-                sims_[static_cast<size_t>(r)]->run(slice, cfg_.dt));
+        wsva::parallelFor(cfg_.num_threads, sims_.size(),
+                          [this, slice](size_t r) {
+                              deltas_[r] = sims_[r]->run(slice, cfg_.dt);
+                          });
         clock_ = step_end;
 
         // 4. Health pass (after the slice so the gates see it).
         static const int kHealthPhase = prof::phaseId("global/health");
         prof::ProfScope prof_health(kHealthPhase);
         for (int r = 0; r < cfg_.regions; ++r)
-            observeRegion(r, deltas[static_cast<size_t>(r)]);
+            observeRegion(r, deltas_[static_cast<size_t>(r)]);
 
         // 5. Audit the cross-region ledger and publish.
         auditConservation();

@@ -95,6 +95,15 @@ struct GlobalRouterConfig
 
     /** Router-level metrics registry on/off. */
     bool observability = true;
+
+    /**
+     * Threads that advance the regions each router step, the caller
+     * included: 0 = one per hardware thread, 1 = a serial loop (no
+     * pool). Each region is its own ClusterSim and the router routes
+     * and reads their slice deltas serially, in region order, so
+     * every setting produces identical output.
+     */
+    int num_threads = 0;
 };
 
 /** Per-region routing/health state, updated every router step. */
@@ -168,7 +177,8 @@ class GlobalRouter
     /**
      * Advance the whole fleet by @p duration sim seconds: per router
      * step, pull regional arrivals, route, advance every region one
-     * slice, run the health gates, and audit the global ledger.
+     * slice (in parallel, on up to cfg.num_threads threads), run the
+     * health gates, and audit the global ledger.
      */
     void runFor(double duration,
                 const RegionalArrivalFn &arrivals = nullptr);
@@ -274,6 +284,9 @@ class GlobalRouter
 
     GlobalRouterConfig cfg_;
     std::vector<std::unique_ptr<wsva::cluster::ClusterSim>> sims_;
+    /** Each region's metrics for the last slice, written by the
+     *  region fan-out and read by the health pass. */
+    std::vector<wsva::cluster::ClusterMetrics> deltas_;
     std::vector<RegionHealthGate> gates_;
     std::vector<RegionStatus> status_;
     wsva::cluster::ConsistentHashRing ring_;

@@ -29,6 +29,20 @@ TEST(Worker, CapacityMatchesPaperMillicores)
     EXPECT_EQ(cap.get(kResEncodeMillicores), 10000);
 }
 
+TEST(Worker, CapacityByIdEqualsCapacityByName)
+{
+    // vcuWorkerCapacity sets its dimensions by kDim* id; the vector
+    // must equal the one built by the canonical names.
+    const uint64_t dram = 6ull << 30;
+    ResourceVector by_name;
+    by_name.set(kResDecodeMillicores, 3000);
+    by_name.set(kResEncodeMillicores, 10000);
+    by_name.set(kResDramBytes, static_cast<double>(dram));
+    by_name.set(kResHostCpuMillicores, 1500);
+    by_name.set(kResSwDecodeMillicores, 250);
+    EXPECT_EQ(vcuWorkerCapacity(dram, 1500, 250), by_name);
+}
+
 TEST(Worker, AssignReservesAndCompletionReleases)
 {
     Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());

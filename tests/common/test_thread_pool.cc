@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/profiler.h"
+
 namespace wsva {
 namespace {
 
@@ -223,6 +225,58 @@ TEST(ThreadPool, FreeParallelForCoversEveryIndexAtAnyThreadCount)
             EXPECT_EQ(off_caller.load(), 0);
         }
     }
+}
+
+TEST(ThreadPool, SharedPoolSurvivesAlternatingThreadCounts)
+{
+    // The process-wide pool only grows: once a 4-thread pool exists,
+    // smaller and equal requests share it instead of rebuilding it,
+    // and a 2-thread fan-out on it admits one helper at most.
+    const auto pool = ThreadPool::shared(4);
+    ASSERT_GE(pool->threadCount(), 4);
+    EXPECT_EQ(ThreadPool::shared(2).get(), pool.get());
+    EXPECT_EQ(ThreadPool::shared(4).get(), pool.get());
+
+    std::mutex mutex;
+    std::set<std::thread::id> seen;
+    parallelFor(2, 64, [&](size_t) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            seen.insert(std::this_thread::get_id());
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    EXPECT_GE(seen.size(), 1u);
+    EXPECT_LE(seen.size(), 2u);
+    EXPECT_EQ(ThreadPool::shared(2).get(), pool.get());
+    EXPECT_EQ(ThreadPool::shared(4).get(), pool.get());
+}
+
+TEST(ThreadPool, FanOutWakesOnlyTheHelpersItsIndicesCanUse)
+{
+    // A two-index fan-out has work for one helper beside the caller.
+    // Every helper that joins records one pool/job call, so 200 such
+    // fan-outs on a 4-thread pool record at most 200 of them; waking
+    // all three helpers would let the spare two join too while the
+    // bodies run.
+    auto &profiler = prof::ProfileRegistry::instance();
+    static const int kJobPhase = prof::phaseId("pool/job");
+    ThreadPool pool(4);
+    profiler.reset();
+    profiler.setEnabled(true);
+    for (int round = 0; round < 200; ++round) {
+        pool.parallelFor(2, [](size_t) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        });
+    }
+    profiler.setEnabled(false);
+    uint64_t jobs = 0;
+    for (const auto &phase : profiler.snapshot().phases) {
+        if (phase.id == kJobPhase)
+            jobs = phase.calls;
+    }
+    profiler.reset();
+    EXPECT_LE(jobs, 200u);
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include "cluster/work.h"
 #include "common/debug_server.h"
 #include "support/http_client.h"
+#include "support/ledger_fingerprint.h"
 #include "support/mini_json.h"
 #include "workload/traffic.h"
 
@@ -26,6 +27,7 @@ namespace wsva::global {
 namespace {
 
 using wsva::cluster::ClusterConfig;
+using wsva::cluster::ClusterSim;
 using wsva::cluster::TranscodeStep;
 using wsva::cluster::makeMotStep;
 using wsva::video::codec::CodecType;
@@ -481,6 +483,81 @@ TEST(GlobalRouter, DeterministicExports)
     EXPECT_NE(a.find("\"schema_version\": 5"), std::string::npos);
     EXPECT_NE(a.find("\"rerouted_away\""), std::string::npos);
     EXPECT_NE(a.find("\"conservation\""), std::string::npos);
+}
+
+TEST(GlobalRouter, ThreadCountLeavesEveryOutputIdentical)
+{
+    // Eight small regions with spill active; region 5 black-holes,
+    // is quarantined and expelled, drains idle and is re-admitted as
+    // a probe, over and over. Whatever the number of threads that
+    // advance the regions, the router export and every region's
+    // ledger fingerprint and trace log must be identical. Explicit
+    // counts make the test fan out on a one-core machine.
+    constexpr int kRegions = 8;
+    constexpr int kBlackhole = 5;
+    constexpr size_t kWholeTrace = size_t{1} << 20;
+    struct Run
+    {
+        uint64_t digest = 0;
+        uint64_t spilled_before_fault = 0;
+        RegionStatus blackhole;
+    };
+    const auto run = [&](uint64_t seed, int threads) {
+        GlobalRouterConfig cfg;
+        cfg.regions = kRegions;
+        cfg.num_threads = threads;
+        cfg.cluster.hosts = 2;
+        cfg.cluster.vcus_per_host = 4;
+        cfg.cluster.seed = seed;
+        cfg.cluster.vcu_hard_fault_per_hour = 2.0;
+        configureBlackHole(cfg.cluster);
+        cfg.spill_load_factor = 1.0;
+        cfg.health.min_window_attempts = 4;
+        cfg.health.window_steps = 2;
+        cfg.health.min_quarantine_seconds = 3 * cfg.step_seconds;
+        GlobalRouter router(cfg);
+        UploadTrafficConfig uploads = lightUploads(seed + 1);
+        uploads.uploads_per_second = 0.3;
+        RegionalUploadTraffic traffic(kRegions, uploads);
+        const auto arrivals = regionalFn(traffic);
+
+        Run out;
+        router.runFor(40.0, arrivals);
+        out.spilled_before_fault = router.reroutedTotal();
+        router.region(kBlackhole).forceSilentFaults(0.4);
+        router.runFor(160.0, arrivals);
+        EXPECT_EQ(router.auditViolations(), 0u);
+        out.blackhole = router.status(kBlackhole);
+
+        uint64_t h = wsva::testsupport::fnv1a(router.exportJson());
+        for (int r = 0; r < kRegions; ++r) {
+            // One more serial slice per region yields the metrics its
+            // ledger fingerprint needs and covers the state it left.
+            ClusterSim &sim = router.region(r);
+            const auto m = sim.run(cfg.step_seconds, cfg.dt);
+            h = wsva::testsupport::fnv1a(
+                wsva::testsupport::ledgerFingerprint(m, sim), h);
+            h = wsva::testsupport::fnv1a(sim.traceLog().toJson(kWholeTrace),
+                                         h);
+        }
+        out.digest = h;
+        return out;
+    };
+
+    for (const uint64_t seed : {3u, 17u, 101u}) {
+        const Run serial = run(seed, 1);
+        // The scenario exercises what it claims: spill on the healthy
+        // fleet, then quarantine, expel and probe re-admission.
+        EXPECT_GT(serial.spilled_before_fault, 0u) << "seed " << seed;
+        EXPECT_GE(serial.blackhole.quarantine_entries, 2u)
+            << "seed " << seed;
+        EXPECT_GE(serial.blackhole.readmissions, 1u) << "seed " << seed;
+        EXPECT_GT(serial.blackhole.expelled, 0u) << "seed " << seed;
+        for (const int threads : {2, 3, 4}) {
+            EXPECT_EQ(run(seed, threads).digest, serial.digest)
+                << "seed " << seed << ", " << threads << " threads";
+        }
+    }
 }
 
 TEST(GlobalRouter, StatusTextShowsRegionTable)
