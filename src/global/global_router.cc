@@ -233,7 +233,7 @@ GlobalRouter::runFor(double duration, const RegionalArrivalFn &arrivals)
         //    the slice's delta metrics (the per-run counters reset at
         //    run() start), which is exactly the windowed signal the
         //    health gates consume.
-        wsva::parallelFor(cfg_.num_threads, sims_.size(),
+        wsva::parallelFor(0, sims_.size(),
                           [this, slice](size_t r) {
                               deltas_[r] = sims_[r]->run(slice, cfg_.dt);
                           });

@@ -95,15 +95,6 @@ struct GlobalRouterConfig
 
     /** Router-level metrics registry on/off. */
     bool observability = true;
-
-    /**
-     * Threads that advance the regions each router step, the caller
-     * included: 0 = one per hardware thread, 1 = a serial loop (no
-     * pool). Each region is its own ClusterSim and the router routes
-     * and reads their slice deltas serially, in region order, so
-     * every setting produces identical output.
-     */
-    int num_threads = 0;
 };
 
 /** Per-region routing/health state, updated every router step. */
@@ -177,7 +168,7 @@ class GlobalRouter
     /**
      * Advance the whole fleet by @p duration sim seconds: per router
      * step, pull regional arrivals, route, advance every region one
-     * slice (in parallel, on up to cfg.num_threads threads), run the
+     * slice (in parallel, one thread per hardware thread), run the
      * health gates, and audit the global ledger.
      */
     void runFor(double duration,

@@ -27,20 +27,12 @@ TEST(Worker, CapacityMatchesPaperMillicores)
     const auto cap = vcuWorkerCapacity();
     EXPECT_EQ(cap.get(kResDecodeMillicores), 3000);
     EXPECT_EQ(cap.get(kResEncodeMillicores), 10000);
-}
 
-TEST(Worker, CapacityByIdEqualsCapacityByName)
-{
-    // vcuWorkerCapacity sets its dimensions by kDim* id; the vector
-    // must equal the one built by the canonical names.
     const uint64_t dram = 6ull << 30;
-    ResourceVector by_name;
-    by_name.set(kResDecodeMillicores, 3000);
-    by_name.set(kResEncodeMillicores, 10000);
-    by_name.set(kResDramBytes, static_cast<double>(dram));
-    by_name.set(kResHostCpuMillicores, 1500);
-    by_name.set(kResSwDecodeMillicores, 250);
-    EXPECT_EQ(vcuWorkerCapacity(dram, 1500, 250), by_name);
+    const auto sized = vcuWorkerCapacity(dram, 1500, 250);
+    EXPECT_EQ(sized.get(kResDramBytes), static_cast<double>(dram));
+    EXPECT_EQ(sized.get(kResHostCpuMillicores), 1500);
+    EXPECT_EQ(sized.get(kResSwDecodeMillicores), 250);
 }
 
 TEST(Worker, AssignReservesAndCompletionReleases)
