@@ -4,6 +4,11 @@
  * kernels the VCU ossifies in silicon (Section 3.1: "we selected
  * parts of transcoding to implement in silicon based on their
  * maturity and computational cost").
+ *
+ * The transform, quantizer and SAD benchmarks take a `dispatch`
+ * argument: 0 forces the scalar reference kernels, 1 runs what the
+ * codec runs on this CPU (the AVX2 kernels where it has AVX2).
+ * bench/run_benches.sh records their medians in BENCH_pipeline.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +17,7 @@
 #include "video/codec/decoder.h"
 #include "video/codec/encoder.h"
 #include "video/codec/fbc.h"
+#include "video/codec/kernel_dispatch.h"
 #include "video/codec/loop_filter.h"
 #include "video/codec/mc.h"
 #include "video/codec/motion_search.h"
@@ -35,9 +41,30 @@ randomPlane(int w, int h, uint64_t seed)
     return p;
 }
 
+/** Runs the codec's kernels on the target a benchmark's `dispatch`
+ *  argument names until the benchmark returns. */
+class KernelTarget
+{
+  public:
+    explicit KernelTarget(const benchmark::State &state)
+    {
+        forceScalarKernels(state.range(0) == 0);
+    }
+    ~KernelTarget() { forceScalarKernels(false); }
+    KernelTarget(const KernelTarget &) = delete;
+    KernelTarget &operator=(const KernelTarget &) = delete;
+};
+
+void
+dispatchArgs(benchmark::internal::Benchmark *b)
+{
+    b->ArgName("dispatch")->Arg(0)->Arg(1);
+}
+
 void
 BM_BlockSad16(benchmark::State &state)
 {
+    const KernelTarget target(state);
     const Plane a = randomPlane(16, 16, 1);
     const Plane b = randomPlane(16, 16, 2);
     for (auto _ : state) {
@@ -45,26 +72,88 @@ BM_BlockSad16(benchmark::State &state)
             blockSad(a.data().data(), b.data().data(), 16));
     }
 }
-BENCHMARK(BM_BlockSad16);
+BENCHMARK(BM_BlockSad16)->Apply(dispatchArgs);
+
+/** Half a block's SAD: the bounded kernels exit about half way, as a
+ *  losing motion-search candidate does. */
+uint32_t
+halfSad(const Plane &a, const Plane &b)
+{
+    return blockSad(a.data().data(), b.data().data(), 16) / 2;
+}
+
+void
+BM_BlockSadBounded16(benchmark::State &state)
+{
+    const Plane a = randomPlane(16, 16, 1);
+    const Plane b = randomPlane(16, 16, 2);
+    const uint32_t bound = halfSad(a, b);
+    const KernelTarget target(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(blockSadBounded(
+            a.data().data(), b.data().data(), 16, bound));
+    }
+}
+BENCHMARK(BM_BlockSadBounded16)->Apply(dispatchArgs);
+
+void
+BM_SadAgainstBlock16(benchmark::State &state)
+{
+    const Plane cur = randomPlane(16, 16, 1);
+    const Plane ref = randomPlane(64, 64, 2);
+    Plane window(16, 16);
+    extractBlock(ref, 24, 24, 16, window.data().data());
+    const uint32_t bound = halfSad(cur, window);
+    const KernelTarget target(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            sadAgainstBlock(cur.data().data(), ref, 24, 24, 16, bound));
+    }
+}
+BENCHMARK(BM_SadAgainstBlock16)->Apply(dispatchArgs);
+
+/** A residual as the encoder forms it (pixel minus prediction). */
+ResidualBlock
+randomResidual(uint64_t seed)
+{
+    Rng rng(seed);
+    ResidualBlock in;
+    for (auto &v : in)
+        v = static_cast<int16_t>(rng.uniformRange(-128, 127));
+    return in;
+}
 
 void
 BM_ForwardDct8x8(benchmark::State &state)
 {
-    Rng rng(3);
-    ResidualBlock in;
-    for (auto &v : in)
-        v = static_cast<int16_t>(rng.uniformRange(-128, 127));
+    const KernelTarget target(state);
+    const ResidualBlock in = randomResidual(3);
     std::array<int32_t, kTxCoeffs> out;
     for (auto _ : state) {
         forwardDct(in, out);
         benchmark::DoNotOptimize(out);
     }
 }
-BENCHMARK(BM_ForwardDct8x8);
+BENCHMARK(BM_ForwardDct8x8)->Apply(dispatchArgs);
+
+void
+BM_Quantize8x8(benchmark::State &state)
+{
+    const KernelTarget target(state);
+    std::array<int32_t, kTxCoeffs> freq;
+    forwardDct(randomResidual(3), freq);
+    CoeffBlock levels;
+    for (auto _ : state) {
+        quantize(freq, 32, 0.33, levels);
+        benchmark::DoNotOptimize(levels);
+    }
+}
+BENCHMARK(BM_Quantize8x8)->Apply(dispatchArgs);
 
 void
 BM_InverseDct8x8(benchmark::State &state)
 {
+    const KernelTarget target(state);
     // Dequantized levels of a busy block: the inverse runs only on
     // blocks with a nonzero level.
     Rng rng(13);
@@ -79,11 +168,12 @@ BM_InverseDct8x8(benchmark::State &state)
         benchmark::DoNotOptimize(out);
     }
 }
-BENCHMARK(BM_InverseDct8x8);
+BENCHMARK(BM_InverseDct8x8)->Apply(dispatchArgs);
 
 void
 BM_TransformQuantizeRoundTrip(benchmark::State &state)
 {
+    const KernelTarget target(state);
     Rng rng(4);
     ResidualBlock in;
     for (auto &v : in)
@@ -95,7 +185,7 @@ BM_TransformQuantizeRoundTrip(benchmark::State &state)
         benchmark::DoNotOptimize(recon);
     }
 }
-BENCHMARK(BM_TransformQuantizeRoundTrip);
+BENCHMARK(BM_TransformQuantizeRoundTrip)->Apply(dispatchArgs);
 
 void
 BM_RangeCoderEncodeBit(benchmark::State &state)

@@ -12,9 +12,9 @@ build_dir=${1:-"$repo_root/build"}
 # binary means a stale or partial build — fail loudly up front
 # instead of silently emitting a subset of the BENCH_*.json files.
 missing=""
-for bench in bench_parallel_pipeline bench_cluster bench_optimizer \
-             bench_observability bench_fleet_scale bench_live_surge \
-             bench_global bench_profile; do
+for bench in bench_parallel_pipeline micro_codec bench_cluster \
+             bench_optimizer bench_observability bench_fleet_scale \
+             bench_live_surge bench_global bench_profile; do
     [ -x "$build_dir/bench/$bench" ] || missing="$missing $bench"
 done
 if [ -n "$missing" ]; then
@@ -27,6 +27,62 @@ fi
 echo "Running bench_parallel_pipeline ..." >&2
 "$build_dir/bench/bench_parallel_pipeline" \
     > "$repo_root/BENCH_pipeline.json"
+
+# micro_codec: medians of 5 repetitions of each codec kernel on the
+# scalar reference (dispatch:0) and on what the codec dispatches to on
+# this CPU (dispatch:1), plus both BM_EncodeFrame arguments, merged
+# into BENCH_pipeline.json. On a CPU with AVX2 each dispatched kernel
+# must beat its scalar reference.
+echo "Running micro_codec ..." >&2
+command -v python3 >/dev/null \
+    || { echo "micro_codec needs python3 to merge its medians" >&2; exit 1; }
+micro_json=$(mktemp)
+"$build_dir/bench/micro_codec" \
+    --benchmark_filter='^BM_(BlockSad16|BlockSadBounded16|SadAgainstBlock16|ForwardDct8x8|Quantize8x8|InverseDct8x8|TransformQuantizeRoundTrip|EncodeFrame)/' \
+    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+    --benchmark_format=json > "$micro_json"
+if ! python3 - "$repo_root/BENCH_pipeline.json" "$micro_json" <<'EOF'
+import json, sys
+path, micro_path = sys.argv[1], sys.argv[2]
+doc = json.load(open(path))
+micro = json.load(open(micro_path))
+scale_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+medians = {}
+for b in micro["benchmarks"]:
+    if b.get("aggregate_name") == "median":
+        medians[b["run_name"]] = b["real_time"] * scale_ns[b["time_unit"]]
+avx2 = "avx2" in open("/proc/cpuinfo").read().split()
+kernels = []
+for name in ("BM_ForwardDct8x8", "BM_Quantize8x8", "BM_InverseDct8x8",
+             "BM_TransformQuantizeRoundTrip", "BM_BlockSad16",
+             "BM_BlockSadBounded16", "BM_SadAgainstBlock16"):
+    scalar = medians[name + "/dispatch:0"]
+    dispatched = medians[name + "/dispatch:1"]
+    kernels.append({"name": name, "scalar_ns": round(scalar, 1),
+                    "dispatched_ns": round(dispatched, 1),
+                    "speedup": round(scalar / dispatched, 2)})
+    if avx2:
+        assert dispatched < scalar, \
+            f"{name}: dispatched {dispatched:.1f} ns >= scalar {scalar:.1f} ns"
+doc["micro_codec"] = {
+    "repetitions": 5,
+    "statistic": "median",
+    "cpu_avx2": avx2,
+    "kernels": kernels,
+    "encode_frame_ms": {
+        "software": round(medians["BM_EncodeFrame/0"] / 1e6, 3),
+        "hardware": round(medians["BM_EncodeFrame/1"] / 1e6, 3)},
+}
+with open(path, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+EOF
+then
+    rm -f "$micro_json"
+    echo "micro_codec medians failed their check" >&2
+    exit 1
+fi
+rm -f "$micro_json"
 echo "Wrote $repo_root/BENCH_pipeline.json" >&2
 
 echo "Running bench_cluster ..." >&2

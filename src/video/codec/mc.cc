@@ -1,10 +1,95 @@
 #include "video/codec/mc.h"
 
+#include <immintrin.h>
+
 #include <algorithm>
 
 #include "common/logging.h"
+#include "video/codec/kernel_dispatch.h"
 
 namespace wsva::video::codec {
+
+namespace {
+
+// AVX2 SAD: _mm256_sad_epu8 sums 32 pixels into four 64-bit lanes, so
+// one load covers two 16-pixel rows or four 8-pixel rows.
+
+WSVA_TARGET_AVX2 inline uint32_t
+laneSum(__m256i sad)
+{
+    const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(sad),
+                                    _mm256_extracti128_si256(sad, 1));
+    return static_cast<uint32_t>(
+        _mm_cvtsi128_si32(_mm_add_epi64(s, _mm_unpackhi_epi64(s, s))));
+}
+
+/** 32 pixels of @p N-pixel rows starting at @p p, row stride @p stride. */
+template <int N>
+WSVA_TARGET_AVX2 inline __m256i
+loadRows(const uint8_t *p, int stride)
+{
+    // Pointer arithmetic only: the lambda runs no AVX2 code.
+    const auto row = [p, stride](int r) {
+        return reinterpret_cast<const __m128i *>(p + r * stride);
+    };
+    __m128i lo;
+    __m128i hi;
+    if constexpr (N == 16) {
+        lo = _mm_loadu_si128(row(0));
+        hi = _mm_loadu_si128(row(1));
+    } else {
+        static_assert(N == 8);
+        lo = _mm_unpacklo_epi64(_mm_loadl_epi64(row(0)),
+                                _mm_loadl_epi64(row(1)));
+        hi = _mm_unpacklo_epi64(_mm_loadl_epi64(row(2)),
+                                _mm_loadl_epi64(row(3)));
+    }
+    return _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
+}
+
+/**
+ * SAD of an N x N block @p a (row stride N) against @p b (row stride
+ * @p stride). Bounded, it returns once the running sum reaches
+ * @p bound: exact below @p bound, >= @p bound otherwise.
+ */
+template <int N, bool Bounded>
+WSVA_TARGET_AVX2 uint32_t
+sadRowsAvx2(const uint8_t *a, const uint8_t *b, int stride, uint32_t bound)
+{
+    constexpr int kRowsPerLoad = 32 / N;
+    __m256i acc = _mm256_setzero_si256();
+    for (int r = 0; r < N; r += kRowsPerLoad) {
+        const __m256i pa =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + r * N));
+        acc = _mm256_add_epi64(
+            acc, _mm256_sad_epu8(pa, loadRows<N>(b + r * stride, stride)));
+        if constexpr (Bounded) {
+            const uint32_t sum = laneSum(acc);
+            if (sum >= bound)
+                return sum;
+        }
+    }
+    return laneSum(acc);
+}
+
+/** The AVX2 SAD for 8- and 16-pixel blocks; false for other sizes. */
+template <bool Bounded>
+bool
+sadAvx2(const uint8_t *a, const uint8_t *b, int stride, int n,
+        uint32_t bound, uint32_t &sad)
+{
+    if (!avx2Kernels())
+        return false;
+    if (n == 16)
+        sad = sadRowsAvx2<16, Bounded>(a, b, stride, bound);
+    else if (n == 8)
+        sad = sadRowsAvx2<8, Bounded>(a, b, stride, bound);
+    else
+        return false;
+    return true;
+}
+
+} // namespace
 
 void
 emulateEdge(const Plane &src, int x, int y, int w, int h, uint8_t *out)
@@ -63,6 +148,9 @@ motionCompensate(const Plane &ref, int x, int y, int n, Mv mv, uint8_t *out)
 uint32_t
 blockSad(const uint8_t *a, const uint8_t *b, int n)
 {
+    uint32_t sad = 0;
+    if (sadAvx2<false>(a, b, n, n, 0, sad))
+        return sad;
     uint32_t acc = 0;
     const int count = n * n;
     for (int i = 0; i < count; ++i)
@@ -73,6 +161,9 @@ blockSad(const uint8_t *a, const uint8_t *b, int n)
 uint32_t
 blockSadBounded(const uint8_t *a, const uint8_t *b, int n, uint32_t bound)
 {
+    uint32_t sad = 0;
+    if (sadAvx2<true>(a, b, n, n, bound, sad))
+        return sad;
     uint32_t acc = 0;
     for (int r = 0; r < n; ++r) {
         const uint8_t *pa = a + r * n;
@@ -94,6 +185,9 @@ sadAgainstBlock(const uint8_t *cur, const Plane &ref, int rx, int ry,
     uint8_t scratch[64 * 64];
     int stride = 0;
     const uint8_t *p = readWindow(ref, rx, ry, n, n, scratch, stride);
+    uint32_t sad = 0;
+    if (sadAvx2<true>(cur, p, stride, n, bound, sad))
+        return sad;
     uint32_t acc = 0;
     for (int r = 0; r < n; ++r) {
         const uint8_t *s = cur + r * n;

@@ -4,6 +4,8 @@
  * bilinear interpolation), and block distortion primitives.
  *
  * Motion vectors are stored in half-pel units throughout the codec.
+ * The SAD kernels run on AVX2 for 8- and 16-pixel blocks on a CPU that
+ * has it, with the same results as their scalar code.
  */
 
 #ifndef WSVA_VIDEO_CODEC_MC_H
@@ -98,10 +100,11 @@ void extractBlock(const Plane &src, int x, int y, int n, uint8_t *out);
 uint32_t blockSad(const uint8_t *a, const uint8_t *b, int n);
 
 /**
- * blockSad with a row-granular early exit: returns as soon as the
- * running sum reaches @p bound. The return value is exact when it is
- * below @p bound and otherwise only guaranteed to be >= @p bound, so
- * strict less-than acceptance tests against @p bound are unaffected.
+ * blockSad with an early exit: returns once the running sum, checked
+ * every row (every two 16-pixel or four 8-pixel rows on AVX2), reaches
+ * @p bound. The return value is exact when it is below @p bound and
+ * otherwise only guaranteed to be >= @p bound, so strict less-than
+ * acceptance tests against @p bound are unaffected.
  */
 uint32_t blockSadBounded(const uint8_t *a, const uint8_t *b, int n,
                          uint32_t bound);

@@ -26,18 +26,39 @@ constexpr int kMaxQp = 63;                      //!< Quantizer range.
 using ResidualBlock = std::array<int16_t, kTxCoeffs>;
 using CoeffBlock = std::array<int16_t, kTxCoeffs>;
 
-/** Forward 8x8 DCT of a residual block (row-major). */
+/**
+ * Forward 8x8 DCT of a residual block (row-major). Exact for any
+ * int16 input. Blocks with every |x| <= 255, such as the encoder's
+ * pixel-minus-prediction residuals, run in int32 lanes on a CPU with
+ * AVX2; the rest run stage 2 in int64.
+ */
 void forwardDct(const ResidualBlock &in, std::array<int32_t, kTxCoeffs> &out);
 
-/** Inverse 8x8 DCT back to the (approximate) residual. */
+/**
+ * Inverse 8x8 DCT back to the (approximate) residual, clamped to
+ * int16. Exact for any int32 input. On a CPU with AVX2 it runs in
+ * int32 lanes when a bound from the input's column sums proves that
+ * exact (DESIGN.md §4); otherwise, as for the extreme levels a
+ * bitstream can carry, both stages run in int64.
+ */
 void inverseDct(const std::array<int32_t, kTxCoeffs> &in, ResidualBlock &out);
 
 /** Quantizer step size for @p qp (exponential, ~0.9 to ~190). */
 double qstep(int qp);
 
 /**
- * Dead-zone quantization of DCT coefficients.
- * @param deadzone Rounding offset in [0, 0.5); smaller = more zeros.
+ * Dead-zone quantization of DCT coefficients:
+ * level = sign(c) * min((|c| * round(2^20 / step) + offset) >> 20,
+ * 32767), with offset = floor(deadzone * 2^20).
+ * @param deadzone Rounding offset as a fraction of the step, in
+ *        [0, 2^31); a value outside that domain panics. 0.5 rounds to
+ *        nearest and smaller values widen the zero bin (the encoder's
+ *        profiles use 0.33-0.45); from 1 up even a zero coefficient
+ *        gets a nonzero level. With the offset below 2^20 and every
+ *        |coeff| <= 2,040 (the forward DCT's largest output for
+ *        |residual| <= 255), the levels run in int32 lanes on a CPU
+ *        with AVX2; anything else takes the int64 path. Both give the
+ *        same levels.
  */
 void quantize(const std::array<int32_t, kTxCoeffs> &coeffs, int qp,
               double deadzone, CoeffBlock &out);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/kernel_targets.h"
 #include "video/codec/decoder.h"
 #include "video/codec/encoder.h"
 #include "video/metrics.h"
@@ -46,14 +47,29 @@ baseConfig(CodecType codec, int w, int h)
     return cfg;
 }
 
+using testsupport::KernelTarget;
+
 struct ProfileCase
 {
     CodecType codec;
     bool hardware;
+    KernelTarget target = KernelTarget::Avx2;
 };
 
+/** Runs each case on its kernel target; the AVX2 leg skips on a CPU
+ *  without AVX2. */
 class CodecRoundTrip : public testing::TestWithParam<ProfileCase>
 {
+  protected:
+    void
+    SetUp() override
+    {
+        if (!target_.supported())
+            GTEST_SKIP() << "this CPU has no AVX2";
+    }
+
+  private:
+    testsupport::ScopedKernelTarget target_{GetParam().target};
 };
 
 TEST_P(CodecRoundTrip, DecodesToCorrectFrameCountAndSize)
@@ -128,16 +144,28 @@ TEST_P(CodecRoundTrip, NonMacroblockAlignedDimensions)
     EXPECT_GT(sequencePsnr(frames, decoded.frames), 28.0);
 }
 
+std::string
+profileName(const testing::TestParamInfo<ProfileCase> &info)
+{
+    return std::string(codecName(info.param.codec)) +
+           (info.param.hardware ? "_hw" : "_sw");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Profiles, CodecRoundTrip,
     testing::Values(ProfileCase{CodecType::H264, false},
                     ProfileCase{CodecType::H264, true},
                     ProfileCase{CodecType::VP9, false},
                     ProfileCase{CodecType::VP9, true}),
-    [](const testing::TestParamInfo<ProfileCase> &info) {
-        return std::string(codecName(info.param.codec)) +
-               (info.param.hardware ? "_hw" : "_sw");
-    });
+    profileName);
+INSTANTIATE_TEST_SUITE_P(
+    ProfilesScalar, CodecRoundTrip,
+    testing::Values(
+        ProfileCase{CodecType::H264, false, KernelTarget::Scalar},
+        ProfileCase{CodecType::H264, true, KernelTarget::Scalar},
+        ProfileCase{CodecType::VP9, false, KernelTarget::Scalar},
+        ProfileCase{CodecType::VP9, true, KernelTarget::Scalar}),
+    profileName);
 
 TEST(Codec, Vp9BeatsH264OnBitrateAtSimilarQuality)
 {

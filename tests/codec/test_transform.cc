@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "support/kernel_targets.h"
 
 namespace wsva::video::codec {
 namespace {
@@ -133,7 +134,7 @@ sign(int32_t v)
     return v < 0 ? -1 : 1;
 }
 
-TEST(DctReference, ForwardMatchesMatrixProductOnRandomBlocks)
+KERNEL_TARGETS_TEST(DctReference, ForwardMatchesMatrixProductOnRandomBlocks)
 {
     wsva::Rng rng(21);
     for (int amplitude : {20, 255, 32767}) {
@@ -145,7 +146,7 @@ TEST(DctReference, ForwardMatchesMatrixProductOnRandomBlocks)
     }
 }
 
-TEST(DctReference, ForwardMatchesAtStageOneInt32Bound)
+KERNEL_TARGETS_TEST(DctReference, ForwardMatchesAtStageOneInt32Bound)
 {
     // Blocks whose signs follow basis rows u (down the columns) and v
     // (along the rows) drive stage 1's column sums, then stage 2's row
@@ -177,7 +178,7 @@ TEST(DctReference, ForwardMatchesAtStageOneInt32Bound)
     EXPECT_LT(freq[0], 0);
 }
 
-TEST(DctReference, InverseMatchesMatrixProductOnDecodableLevels)
+KERNEL_TARGETS_TEST(DctReference, InverseMatchesMatrixProductOnDecodableLevels)
 {
     // Levels come from the bitstream: anything in int16, dequantized
     // at up to qp 63 (step 211).
@@ -200,7 +201,7 @@ TEST(DctReference, InverseMatchesMatrixProductOnDecodableLevels)
     }
 }
 
-TEST(DctReference, InverseMatchesAtExtremeLevels)
+KERNEL_TARGETS_TEST(DctReference, InverseMatchesAtExtremeLevels)
 {
     // Sign patterns aligned with basis columns k and l push both
     // inverse stages to their largest sums (stage 1 past int32 before
@@ -227,7 +228,7 @@ TEST(DctReference, InverseMatchesAtExtremeLevels)
     }
 }
 
-TEST(TransformQuantize, AllZeroLevelsReconstructToZeros)
+KERNEL_TARGETS_TEST(TransformQuantize, AllZeroLevelsReconstructToZeros)
 {
     CoeffBlock zero;
     zero.fill(0);
@@ -246,7 +247,7 @@ TEST(TransformQuantize, AllZeroLevelsReconstructToZeros)
     }
 }
 
-TEST(TransformQuantize, TrellisReturnsFinalCountAndReconstructsFinalLevels)
+KERNEL_TARGETS_TEST(TransformQuantize, TrellisReturnsFinalCountAndReconstructsFinalLevels)
 {
     constexpr int kQp = 24;
     // The encoder's RD lambda at this qp: large enough to engage the
@@ -352,7 +353,7 @@ scaledPattern(const ResidualBlock &pattern, int amplitude)
     return out;
 }
 
-TEST(TransformQuantize, PreCheckMatchesFullPathOneUnitEitherSideOfTheBound)
+KERNEL_TARGETS_TEST(TransformQuantize, PreCheckMatchesFullPathOneUnitEitherSideOfTheBound)
 {
     // Sign patterns: impulses of either sign (at sample 0 the largest
     // basis entry meets the impulse, so the bound is exact there up
@@ -424,7 +425,7 @@ TEST(TransformQuantize, PreCheckMatchesFullPathOneUnitEitherSideOfTheBound)
     }
 }
 
-TEST(TransformQuantize, PreCheckMatchesFullPathOnRandomBlocks)
+KERNEL_TARGETS_TEST(TransformQuantize, PreCheckMatchesFullPathOnRandomBlocks)
 {
     wsva::Rng rng(24);
     int fired_count = 0;
@@ -445,7 +446,7 @@ TEST(TransformQuantize, PreCheckMatchesFullPathOnRandomBlocks)
     EXPECT_GT(full_count, 0);
 }
 
-TEST(TransformQuantize, PreCheckIsSufficientNotNecessary)
+KERNEL_TARGETS_TEST(TransformQuantize, PreCheckIsSufficientNotNecessary)
 {
     // A flat block of 10s at qp 63: its only coefficient is DC = 80,
     // which quantizes to zero, but the bound (about twice the true DC
@@ -461,7 +462,7 @@ TEST(TransformQuantize, PreCheckIsSufficientNotNecessary)
     EXPECT_TRUE(matchesFullPath(flat, kMaxQp, 0.33));
 }
 
-TEST(Dct, DcOfFlatBlock)
+KERNEL_TARGETS_TEST(Dct, DcOfFlatBlock)
 {
     ResidualBlock flat;
     flat.fill(100);
@@ -473,7 +474,7 @@ TEST(Dct, DcOfFlatBlock)
         ASSERT_NEAR(freq[i], 0, 2) << "coeff " << i;
 }
 
-TEST(Dct, InverseRecoversInput)
+KERNEL_TARGETS_TEST(Dct, InverseRecoversInput)
 {
     wsva::Rng rng(9);
     for (int trial = 0; trial < 50; ++trial) {
@@ -487,7 +488,7 @@ TEST(Dct, InverseRecoversInput)
     }
 }
 
-TEST(Dct, LinearityUnderScaling)
+KERNEL_TARGETS_TEST(Dct, LinearityUnderScaling)
 {
     ResidualBlock in;
     for (size_t i = 0; i < kTxCoeffs; ++i)
@@ -503,7 +504,7 @@ TEST(Dct, LinearityUnderScaling)
         ASSERT_NEAR(f2[i], 2 * f1[i], 4);
 }
 
-TEST(Dct, EnergyConservation)
+KERNEL_TARGETS_TEST(Dct, EnergyConservation)
 {
     wsva::Rng rng(10);
     ResidualBlock in = randomResidual(rng, 100);
