@@ -7,8 +7,10 @@
  *
  * The transform, quantizer and SAD benchmarks take a `dispatch`
  * argument: 0 forces the scalar reference kernels, 1 runs what the
- * codec runs on this CPU (the AVX2 kernels where it has AVX2).
- * bench/run_benches.sh records their medians in BENCH_pipeline.json.
+ * codec runs on this CPU (the AVX2 kernels where it has AVX2). The
+ * half-pel filter, the rate estimate and the downscaler have one code
+ * path each and take no such argument. bench/run_benches.sh records
+ * the medians in BENCH_pipeline.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -19,10 +21,12 @@
 #include "video/codec/fbc.h"
 #include "video/codec/kernel_dispatch.h"
 #include "video/codec/loop_filter.h"
+#include "video/codec/mb_common.h"
 #include "video/codec/mc.h"
 #include "video/codec/motion_search.h"
 #include "video/codec/range_coder.h"
 #include "video/codec/transform.h"
+#include "video/scaler.h"
 #include "video/synth.h"
 
 using namespace wsva;
@@ -205,17 +209,63 @@ BM_RangeCoderEncodeBit(benchmark::State &state)
 }
 BENCHMARK(BM_RangeCoderEncodeBit);
 
+/** One half-pel phase (1 horizontal, 2 vertical, 3 both) at block
+ *  size n, read in place. */
 void
 BM_MotionCompensateHalfPel(benchmark::State &state)
 {
+    const auto phase = static_cast<int>(state.range(0));
+    const auto n = static_cast<int>(state.range(1));
     const Plane ref = randomPlane(128, 128, 6);
+    const Mv mv{static_cast<int16_t>(6 + phase % 2),
+                static_cast<int16_t>(4 + phase / 2)};
     uint8_t out[16 * 16];
     for (auto _ : state) {
-        motionCompensate(ref, 48, 48, 16, Mv{7, 5}, out);
+        motionCompensate(ref, 48, 48, n, mv, out);
         benchmark::DoNotOptimize(out);
+        benchmark::ClobberMemory();
     }
 }
-BENCHMARK(BM_MotionCompensateHalfPel);
+BENCHMARK(BM_MotionCompensateHalfPel)
+    ->ArgNames({"phase", "n"})
+    ->ArgsProduct({{1, 2, 3}, {8, 16}});
+
+/** The rate estimate of a sparse block (a few low-frequency levels,
+ *  dense:0) or a dense one (every level nonzero, dense:1). */
+void
+BM_EstimateCoeffBits(benchmark::State &state)
+{
+    const bool dense = state.range(0) != 0;
+    Rng rng(14);
+    const auto &scan = zigzagOrder();
+    CoeffBlock levels{};
+    for (int si = 0; si < kTxCoeffs; ++si) {
+        if (dense || (si < 10 && rng.bernoulli(0.4))) {
+            const int magnitude = rng.uniformRange(1, 20);
+            levels[static_cast<size_t>(scan[static_cast<size_t>(si)])] =
+                static_cast<int16_t>(rng.bernoulli(0.5) ? -magnitude
+                                                        : magnitude);
+        }
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(estimateCoeffBits(levels));
+}
+BENCHMARK(BM_EstimateCoeffBits)->ArgName("dense")->Arg(0)->Arg(1);
+
+/** One luma plane of upload_ladder's ladder: 192x108 down to w x h. */
+void
+BM_ScalePlane(benchmark::State &state)
+{
+    const Plane src = randomPlane(192, 108, 15);
+    const auto w = static_cast<int>(state.range(0));
+    const auto h = static_cast<int>(state.range(1));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(scalePlane(src, w, h));
+}
+BENCHMARK(BM_ScalePlane)
+    ->ArgNames({"w", "h"})
+    ->Args({128, 72})
+    ->Args({96, 54});
 
 void
 BM_MotionSearch(benchmark::State &state)

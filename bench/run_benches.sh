@@ -32,13 +32,15 @@ echo "Running bench_parallel_pipeline ..." >&2
 # scalar reference (dispatch:0) and on what the codec dispatches to on
 # this CPU (dispatch:1), plus both BM_EncodeFrame arguments, merged
 # into BENCH_pipeline.json. On a CPU with AVX2 each dispatched kernel
-# must beat its scalar reference.
+# must beat its scalar reference. The half-pel filter, the rate
+# estimate and the downscaler have one code path each, so their
+# medians are recorded without that check.
 echo "Running micro_codec ..." >&2
 command -v python3 >/dev/null \
     || { echo "micro_codec needs python3 to merge its medians" >&2; exit 1; }
 micro_json=$(mktemp)
 "$build_dir/bench/micro_codec" \
-    --benchmark_filter='^BM_(BlockSad16|BlockSadBounded16|SadAgainstBlock16|ForwardDct8x8|Quantize8x8|InverseDct8x8|TransformQuantizeRoundTrip|EncodeFrame)/' \
+    --benchmark_filter='^BM_(BlockSad16|BlockSadBounded16|SadAgainstBlock16|ForwardDct8x8|Quantize8x8|InverseDct8x8|TransformQuantizeRoundTrip|EncodeFrame|MotionCompensateHalfPel|EstimateCoeffBits|ScalePlane)/' \
     --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
     --benchmark_format=json > "$micro_json"
 if ! python3 - "$repo_root/BENCH_pipeline.json" "$micro_json" <<'EOF'
@@ -48,9 +50,15 @@ doc = json.load(open(path))
 micro = json.load(open(micro_path))
 scale_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 medians = {}
+loops = []
 for b in micro["benchmarks"]:
     if b.get("aggregate_name") == "median":
-        medians[b["run_name"]] = b["real_time"] * scale_ns[b["time_unit"]]
+        ns = b["real_time"] * scale_ns[b["time_unit"]]
+        medians[b["run_name"]] = ns
+        if b["run_name"].startswith(("BM_MotionCompensateHalfPel/",
+                                     "BM_EstimateCoeffBits/",
+                                     "BM_ScalePlane/")):
+            loops.append({"name": b["run_name"], "median_ns": round(ns, 1)})
 avx2 = "avx2" in open("/proc/cpuinfo").read().split()
 kernels = []
 for name in ("BM_ForwardDct8x8", "BM_Quantize8x8", "BM_InverseDct8x8",
@@ -64,11 +72,14 @@ for name in ("BM_ForwardDct8x8", "BM_Quantize8x8", "BM_InverseDct8x8",
     if avx2:
         assert dispatched < scalar, \
             f"{name}: dispatched {dispatched:.1f} ns >= scalar {scalar:.1f} ns"
+# Six half-pel cases, two rate estimates, two downscales.
+assert len(loops) == 10, f"expected 10 single-path loop medians, got {len(loops)}"
 doc["micro_codec"] = {
     "repetitions": 5,
     "statistic": "median",
     "cpu_avx2": avx2,
     "kernels": kernels,
+    "single_path_loops": loops,
     "encode_frame_ms": {
         "software": round(medians["BM_EncodeFrame/0"] / 1e6, 3),
         "hardware": round(medians["BM_EncodeFrame/1"] / 1e6, 3)},

@@ -157,53 +157,26 @@ DecoderEngine::decodeMb(SyntaxReader &reader, Frame &recon, int mbx,
         readCoeffs();
     }
 
-    // Reconstruct into the frame.
-    ResidualBlock rres;
-    if (has_residual) {
-        for (int q = 0; q < 4; ++q) {
-            const int qx = (q % 2) * 8;
-            const int qy = (q / 2) * 8;
-            reconstructResidual(coeff_y[static_cast<size_t>(q)], hdr.qp,
-                                rres);
-            for (int r = 0; r < 8; ++r) {
-                for (int c = 0; c < 8; ++c) {
-                    const int idx = (qy + r) * kMbSize + qx + c;
-                    const int v = pred_y[idx] +
-                                  rres[static_cast<size_t>(r * 8 + c)];
-                    recon.y().at(x + qx + c, y + qy + r) =
-                        static_cast<uint8_t>(std::clamp(v, 0, 255));
-                }
-            }
-        }
-        reconstructResidual(coeff_u, hdr.qp, rres);
-        for (int r = 0; r < kHalf; ++r) {
-            for (int c = 0; c < kHalf; ++c) {
-                const int v = pred_u[r * kHalf + c] +
-                              rres[static_cast<size_t>(r * kHalf + c)];
-                recon.u().at(x / 2 + c, y / 2 + r) =
-                    static_cast<uint8_t>(std::clamp(v, 0, 255));
-            }
-        }
-        reconstructResidual(coeff_v, hdr.qp, rres);
-        for (int r = 0; r < kHalf; ++r) {
-            for (int c = 0; c < kHalf; ++c) {
-                const int v = pred_v[r * kHalf + c] +
-                              rres[static_cast<size_t>(r * kHalf + c)];
-                recon.v().at(x / 2 + c, y / 2 + r) =
-                    static_cast<uint8_t>(std::clamp(v, 0, 255));
-            }
-        }
-    } else {
-        for (int r = 0; r < kMbSize; ++r)
-            for (int c = 0; c < kMbSize; ++c)
-                recon.y().at(x + c, y + r) = pred_y[r * kMbSize + c];
-        for (int r = 0; r < kHalf; ++r) {
-            for (int c = 0; c < kHalf; ++c) {
-                recon.u().at(x / 2 + c, y / 2 + r) = pred_u[r * kHalf + c];
-                recon.v().at(x / 2 + c, y / 2 + r) = pred_v[r * kHalf + c];
-            }
-        }
+    // Reconstruct into the frame; a skipped macroblock has a zero
+    // residual.
+    auto reconstruct = [&](const uint8_t *pred, int stride,
+                           const CoeffBlock &levels, Plane &plane, int px,
+                           int py) {
+        ResidualBlock rres{};
+        if (has_residual)
+            reconstructResidual(levels, hdr.qp, rres);
+        reconstructBlock8x8(pred, stride, rres, plane.row(py) + px,
+                            plane.stride(), nullptr);
+    };
+    for (int q = 0; q < 4; ++q) {
+        const int qx = (q % 2) * 8;
+        const int qy = (q / 2) * 8;
+        reconstruct(pred_y + qy * kMbSize + qx, kMbSize,
+                    coeff_y[static_cast<size_t>(q)], recon.y(), x + qx,
+                    y + qy);
     }
+    reconstruct(pred_u, kHalf, coeff_u, recon.u(), x / 2, y / 2);
+    reconstruct(pred_v, kHalf, coeff_v, recon.v(), x / 2, y / 2);
 
     auto &nb = grid_[static_cast<size_t>(mby) *
                          static_cast<size_t>(mb_cols_) +

@@ -21,6 +21,13 @@ namespace {
 
 constexpr int kHalf = kMbSize / 2;
 
+/** Offset of 8x8 luma quadrant @p q (raster order) in a 16x16 block. */
+constexpr int
+quadrantOffset(int q)
+{
+    return (q / 2) * 8 * kMbSize + (q % 2) * 8;
+}
+
 /** Pad a frame to macroblock-aligned dimensions by edge replication. */
 Frame
 padFrame(const Frame &src, int pw, int ph)
@@ -152,60 +159,24 @@ Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
 
     ResidualBlock residual;
     ResidualBlock rres;
-
-    // Four luma 8x8 transform blocks.
-    for (int q = 0; q < 4; ++q) {
-        const int qx = (q % 2) * 8;
-        const int qy = (q / 2) * 8;
-        for (int r = 0; r < 8; ++r) {
-            for (int c = 0; c < 8; ++c) {
-                const int idx = (qy + r) * kMbSize + qx + c;
-                residual[static_cast<size_t>(r * 8 + c)] =
-                    static_cast<int16_t>(static_cast<int>(src_y[idx]) -
-                                         pred_y[idx]);
-            }
-        }
-        auto &levels = cand.coeff_y[static_cast<size_t>(q)];
+    // One 8x8 transform block: code it, reconstruct it, and add its
+    // distortion and rate.
+    auto block = [&](const uint8_t *src, const uint8_t *pred, int stride,
+                     CoeffBlock &levels, uint8_t *recon) {
+        subtractBlock8x8(src, pred, stride, residual);
         cand.nonzero += transformQuantize(residual, qp, tools_.deadzone,
                                           tools_.coeff_opt, lambda, levels,
                                           rres);
-        for (int r = 0; r < 8; ++r) {
-            for (int c = 0; c < 8; ++c) {
-                const int idx = (qy + r) * kMbSize + qx + c;
-                const int v = pred_y[idx] +
-                              rres[static_cast<size_t>(r * 8 + c)];
-                cand.recon_y[static_cast<size_t>(idx)] =
-                    static_cast<uint8_t>(std::clamp(v, 0, 255));
-                const int d = static_cast<int>(src_y[idx]) -
-                              cand.recon_y[static_cast<size_t>(idx)];
-                dist += static_cast<uint64_t>(d * d);
-            }
-        }
-        bits += estimateCoeffBits(levels);
-    }
-
-    // Chroma 8x8 blocks.
-    auto chroma = [&](const uint8_t *src, const uint8_t *pred,
-                      CoeffBlock &levels,
-                      std::array<uint8_t, kHalf * kHalf> &recon) {
-        for (int i = 0; i < kHalf * kHalf; ++i)
-            residual[static_cast<size_t>(i)] = static_cast<int16_t>(
-                static_cast<int>(src[i]) - pred[i]);
-        cand.nonzero += transformQuantize(residual, qp, tools_.deadzone,
-                                          tools_.coeff_opt, lambda, levels,
-                                          rres);
-        for (int i = 0; i < kHalf * kHalf; ++i) {
-            const int v = pred[i] + rres[static_cast<size_t>(i)];
-            recon[static_cast<size_t>(i)] =
-                static_cast<uint8_t>(std::clamp(v, 0, 255));
-            const int d = static_cast<int>(src[i]) -
-                          recon[static_cast<size_t>(i)];
-            dist += static_cast<uint64_t>(d * d);
-        }
+        dist += reconstructBlock8x8(pred, stride, rres, recon, stride, src);
         bits += estimateCoeffBits(levels);
     };
-    chroma(src_u, pred_u, cand.coeff_u, cand.recon_u);
-    chroma(src_v, pred_v, cand.coeff_v, cand.recon_v);
+    for (int q = 0; q < 4; ++q) {
+        const int off = quadrantOffset(q);
+        block(src_y + off, pred_y + off, kMbSize,
+              cand.coeff_y[static_cast<size_t>(q)], cand.recon_y.data() + off);
+    }
+    block(src_u, pred_u, kHalf, cand.coeff_u, cand.recon_u.data());
+    block(src_v, pred_v, kHalf, cand.coeff_v, cand.recon_v.data());
 
     cand.cost = static_cast<double>(dist) + lambda * bits;
     return cand.cost;
@@ -276,12 +247,20 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
         cand.ref = {kRefLast, kRefLast, kRefLast, kRefLast};
         cand.mv = {mvp, mvp, mvp, mvp};
         predictInter(cand, x, y, pred_y, pred_u, pred_v);
-        std::copy(pred_y, pred_y + kMbSize * kMbSize, cand.recon_y.begin());
-        std::copy(pred_u, pred_u + kHalf * kHalf, cand.recon_u.begin());
-        std::copy(pred_v, pred_v + kHalf * kHalf, cand.recon_v.begin());
-        uint64_t dist = blockSse(src_y, pred_y, kMbSize) +
-                        blockSse(src_u, pred_u, kHalf) +
-                        blockSse(src_v, pred_v, kHalf);
+        // Reconstructed with a zero residual: the prediction, and its
+        // distortion.
+        static constexpr ResidualBlock kNoResidual{};
+        uint64_t dist = 0;
+        for (int q = 0; q < 4; ++q) {
+            const int off = quadrantOffset(q);
+            dist += reconstructBlock8x8(pred_y + off, kMbSize, kNoResidual,
+                                        cand.recon_y.data() + off, kMbSize,
+                                        src_y + off);
+        }
+        dist += reconstructBlock8x8(pred_u, kHalf, kNoResidual,
+                                    cand.recon_u.data(), kHalf, src_u);
+        dist += reconstructBlock8x8(pred_v, kHalf, kNoResidual,
+                                    cand.recon_v.data(), kHalf, src_v);
         cand.nonzero = 0;
         for (auto &cb : cand.coeff_y)
             cb.fill(0);

@@ -12,7 +12,9 @@
  * __builtin_cpu_supports. There is no global -march flag, no
  * configuration field and no environment variable. Both versions give
  * byte-identical results; DESIGN.md §4 has the bounds that keep the
- * int32 lanes exact.
+ * int32 lanes exact. The codec's SSE2 loops (reconstruction, the
+ * half-pel filter, the coefficient scan) need no dispatch: SSE2 is the
+ * x86-64 baseline, so they have one code path.
  */
 
 #ifndef WSVA_VIDEO_CODEC_KERNEL_DISPATCH_H
@@ -30,9 +32,9 @@ namespace wsva::video::codec {
 bool cpuHasAvx2();
 
 /**
- * Test and benchmark hook: run every kernel on its scalar code (true),
- * or go back to dispatching on the CPU (false). The codec itself never
- * calls it.
+ * Test and benchmark hook: run every AVX2 kernel on its scalar code
+ * (true), or go back to dispatching on the CPU (false). The SSE2 loops
+ * are unaffected. The codec itself never calls it.
  */
 void forceScalarKernels(bool force);
 

@@ -1,11 +1,17 @@
 #include "video/codec/mb_common.h"
 
+#include <emmintrin.h>
+
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
 
 #include "common/logging.h"
-#include "video/codec/golomb.h"
 
 namespace wsva::video::codec {
+
+// The pixel loops here are SSE2, the x86-64 baseline, so they have no
+// scalar twin; tests/codec/test_mb_common.cc keeps per-pixel references.
 
 namespace {
 
@@ -13,6 +19,71 @@ int16_t
 median3(int16_t a, int16_t b, int16_t c)
 {
     return std::max(std::min(a, b), std::min(std::max(a, b), c));
+}
+
+/** Eight pixels at @p p, widened to int16 lanes. */
+inline __m128i
+loadRow8Wide(const uint8_t *p)
+{
+    return _mm_unpacklo_epi8(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)),
+        _mm_setzero_si128());
+}
+
+/** a = (a + b + 1) >> 1 over @p n bytes, @p n a multiple of 16. */
+void
+averageInto(uint8_t *a, const uint8_t *b, int n)
+{
+    for (int i = 0; i < n; i += 16) {
+        auto *pa = reinterpret_cast<__m128i *>(a + i);
+        const auto *pb = reinterpret_cast<const __m128i *>(b + i);
+        _mm_storeu_si128(pa, _mm_avg_epu8(_mm_loadu_si128(pa),
+                                          _mm_loadu_si128(pb)));
+    }
+}
+
+/** What one pass over a level block finds. */
+struct LevelScan
+{
+    uint64_t nonzero; //!< Bit i is set when raster level i is nonzero.
+    int last_sig;     //!< Scan position of the last nonzero level, or -1.
+};
+
+/**
+ * The one pass over a level block that finds its nonzero levels: the
+ * raster mask of them, and the scan position of the last one, which is
+ * the largest zigzagInverse() entry among them.
+ */
+LevelScan
+scanLevels(const CoeffBlock &levels)
+{
+    const auto &position = zigzagInverse();
+    const __m128i zero = _mm_setzero_si128();
+    __m128i last = zero;
+    uint64_t mask = 0;
+    for (int i = 0; i < kTxCoeffs; i += 16) {
+        const auto *l = reinterpret_cast<const __m128i *>(levels.data() + i);
+        const auto *p =
+            reinterpret_cast<const __m128i *>(position.data() + i);
+        const __m128i zero_lo = _mm_cmpeq_epi16(_mm_loadu_si128(l), zero);
+        const __m128i zero_hi =
+            _mm_cmpeq_epi16(_mm_loadu_si128(l + 1), zero);
+        last = _mm_max_epi16(
+            last, _mm_andnot_si128(zero_lo, _mm_loadu_si128(p)));
+        last = _mm_max_epi16(
+            last, _mm_andnot_si128(zero_hi, _mm_loadu_si128(p + 1)));
+        // Sixteen 0 / -1 bytes, -1 where the level is zero.
+        const __m128i zeros = _mm_packs_epi16(zero_lo, zero_hi);
+        mask |= static_cast<uint64_t>(~_mm_movemask_epi8(zeros) & 0xffff)
+                << i;
+    }
+    last = _mm_max_epi16(last,
+                         _mm_shuffle_epi32(last, _MM_SHUFFLE(1, 0, 3, 2)));
+    last = _mm_max_epi16(last,
+                         _mm_shuffle_epi32(last, _MM_SHUFFLE(2, 3, 0, 1)));
+    last = _mm_max_epi16(
+        last, _mm_shufflelo_epi16(last, _MM_SHUFFLE(2, 3, 0, 1)));
+    return {mask, mask != 0 ? _mm_extract_epi16(last, 0) : -1};
 }
 
 } // namespace
@@ -85,15 +156,9 @@ buildInterPrediction(const RefFrames &refs,
             const Mv cmv2 = chromaMv(mv2);
             motionCompensate(r2.u(), x / 2, y / 2, kHalf, cmv2, alt_u);
             motionCompensate(r2.v(), x / 2, y / 2, kHalf, cmv2, alt_v);
-            for (int i = 0; i < kMbSize * kMbSize; ++i)
-                pred_y[i] =
-                    static_cast<uint8_t>((pred_y[i] + alt_y[i] + 1) >> 1);
-            for (int i = 0; i < kHalf * kHalf; ++i) {
-                pred_u[i] =
-                    static_cast<uint8_t>((pred_u[i] + alt_u[i] + 1) >> 1);
-                pred_v[i] =
-                    static_cast<uint8_t>((pred_v[i] + alt_v[i] + 1) >> 1);
-            }
+            averageInto(pred_y, alt_y, kMbSize * kMbSize);
+            averageInto(pred_u, alt_u, kHalf * kHalf);
+            averageInto(pred_v, alt_v, kHalf * kHalf);
         }
         return;
     }
@@ -126,14 +191,53 @@ buildInterPrediction(const RefFrames &refs,
 }
 
 void
+subtractBlock8x8(const uint8_t *src, const uint8_t *pred, int stride,
+                 ResidualBlock &residual)
+{
+    for (int r = 0; r < kTxSize; ++r) {
+        const __m128i d = _mm_sub_epi16(loadRow8Wide(src + r * stride),
+                                        loadRow8Wide(pred + r * stride));
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(residual.data() + r * kTxSize), d);
+    }
+}
+
+uint32_t
+reconstructBlock8x8(const uint8_t *pred, int stride,
+                    const ResidualBlock &rres, uint8_t *out, int out_stride,
+                    const uint8_t *src)
+{
+    __m128i sse = _mm_setzero_si128();
+    for (int r = 0; r < kTxSize; ++r) {
+        const __m128i res = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(rres.data() + r * kTxSize));
+        // Exactly clamp(pred + rres, 0, 255): pred >= 0, so the add
+        // saturates only above 32,767, which the pack clamps to 255
+        // anyway.
+        const __m128i sum = _mm_adds_epi16(loadRow8Wide(pred + r * stride),
+                                           res);
+        const __m128i recon = _mm_packus_epi16(sum, sum);
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(out + r * out_stride),
+                         recon);
+        if (src != nullptr) {
+            // |d| <= 255: a block's 64 squares sum to at most
+            // 4,161,600, so the int32 lanes cannot overflow.
+            const __m128i d =
+                _mm_sub_epi16(loadRow8Wide(src + r * stride),
+                              _mm_unpacklo_epi8(recon, _mm_setzero_si128()));
+            sse = _mm_add_epi32(sse, _mm_madd_epi16(d, d));
+        }
+    }
+    sse = _mm_add_epi32(sse, _mm_shuffle_epi32(sse, _MM_SHUFFLE(1, 0, 3, 2)));
+    sse = _mm_add_epi32(sse, _mm_shuffle_epi32(sse, _MM_SHUFFLE(2, 3, 0, 1)));
+    return static_cast<uint32_t>(_mm_cvtsi128_si32(sse));
+}
+
+void
 writeCoeffBlock(SyntaxWriter &writer, const CoeffBlock &levels)
 {
     const auto &scan = zigzagOrder();
-    int last_sig = -1;
-    for (int si = 0; si < kTxCoeffs; ++si) {
-        if (levels[static_cast<size_t>(scan[static_cast<size_t>(si)])] != 0)
-            last_sig = si;
-    }
+    const int last_sig = scanLevels(levels).last_sig;
     writer.writeBit(kCtxCbf, last_sig >= 0 ? 1 : 0);
     if (last_sig < 0)
         return;
@@ -181,25 +285,20 @@ readCoeffBlock(SyntaxReader &reader, CoeffBlock &levels)
 int
 estimateCoeffBits(const CoeffBlock &levels)
 {
-    const auto &scan = zigzagOrder();
-    int last_sig = -1;
-    for (int si = 0; si < kTxCoeffs; ++si) {
-        if (levels[static_cast<size_t>(scan[static_cast<size_t>(si)])] != 0)
-            last_sig = si;
+    const LevelScan scan = scanLevels(levels);
+    if (scan.last_sig < 0)
+        return 1; // cbf.
+    // A nonzero level costs a sign bit plus ue(|level| - 1), whose
+    // length is 2 * bit_width(|level|) - 1.
+    int magnitude_bits = 0;
+    for (uint64_t m = scan.nonzero; m != 0; m &= m - 1) {
+        const int level = levels[static_cast<size_t>(std::countr_zero(m))];
+        magnitude_bits +=
+            2 * std::bit_width(static_cast<unsigned>(std::abs(level)));
     }
-    if (last_sig < 0)
-        return 1;
-    int bits = 2; // cbf + trailing EOB.
-    for (int si = 0; si <= last_sig; ++si) {
-        const int16_t level =
-            levels[static_cast<size_t>(scan[static_cast<size_t>(si)])];
-        bits += 2; // EOB-continue + significance.
-        if (level != 0) {
-            bits += 1 +
-                ueBits(static_cast<uint32_t>(std::abs(level)) - 1);
-        }
-    }
-    return bits;
+    // cbf and the trailing EOB, then EOB-continue and significance for
+    // every position up to the last nonzero level.
+    return 2 + 2 * (scan.last_sig + 1) + magnitude_bits;
 }
 
 } // namespace wsva::video::codec

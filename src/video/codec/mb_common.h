@@ -80,6 +80,26 @@ void buildInterPrediction(const RefFrames &refs,
                           bool compound, int ref2, Mv mv2, int x, int y,
                           uint8_t *pred_y, uint8_t *pred_u, uint8_t *pred_v);
 
+/**
+ * residual = src - pred over one 8x8 block. @p src and @p pred point
+ * at the blocks' top-left samples and share the row stride @p stride.
+ */
+void subtractBlock8x8(const uint8_t *src, const uint8_t *pred, int stride,
+                      ResidualBlock &residual);
+
+/**
+ * Reconstruct one 8x8 block, out = clamp(pred + rres, 0, 255), the one
+ * reconstruction of the encoder and the decoder.
+ * @param pred Prediction block, row stride @p stride.
+ * @param out Output block, row stride @p out_stride.
+ * @param src Source block (row stride @p stride), or null.
+ * @return Sum of squared differences between @p src and the output,
+ *         or 0 when @p src is null.
+ */
+uint32_t reconstructBlock8x8(const uint8_t *pred, int stride,
+                             const ResidualBlock &rres, uint8_t *out,
+                             int out_stride, const uint8_t *src);
+
 /** Serialize one 8x8 coefficient block (cbf + zigzag EOB/sig/level). */
 void writeCoeffBlock(SyntaxWriter &writer, const CoeffBlock &levels);
 

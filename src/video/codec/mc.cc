@@ -3,6 +3,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/logging.h"
 #include "video/codec/kernel_dispatch.h"
@@ -89,6 +90,106 @@ sadAvx2(const uint8_t *a, const uint8_t *b, int stride, int n,
     return true;
 }
 
+// The half-pel filters run in SSE2, the x86-64 baseline, on whole
+// W-pixel rows (W = n = 16, 8 or 4), and have no scalar twin:
+// _mm_avg_epu8 is exactly (a + b + 1) >> 1, and the 2-D tap's sums of
+// four pixels (at most 1,022 with the rounding) fit in int16 lanes.
+
+/** W pixels at @p p in a register's low bytes. */
+template <int W>
+inline __m128i
+loadPixels(const uint8_t *p)
+{
+    if constexpr (W == 16) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    } else if constexpr (W == 8) {
+        return _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
+    } else {
+        static_assert(W == 4);
+        int32_t v = 0;
+        std::memcpy(&v, p, sizeof(v));
+        return _mm_cvtsi32_si128(v);
+    }
+}
+
+/** Store the low W bytes of @p v at @p p. */
+template <int W>
+inline void
+storePixels(uint8_t *p, __m128i v)
+{
+    if constexpr (W == 16) {
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
+    } else if constexpr (W == 8) {
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(p), v);
+    } else {
+        static_assert(W == 4);
+        const int32_t bits = _mm_cvtsi128_si32(v);
+        std::memcpy(p, &bits, sizeof(bits));
+    }
+}
+
+/** p[c] + p[c + 1] over a row's W columns, in int16 lanes: columns
+ *  0-7 in lo, 8-15 in hi (zero unless W = 16). */
+struct PairSums
+{
+    __m128i lo;
+    __m128i hi;
+};
+
+/** The row's PairSums. The load at p + 1 reads the window's last
+ *  column and no further. */
+template <int W>
+inline PairSums
+pairSums(const uint8_t *p)
+{
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i a = loadPixels<W>(p);
+    const __m128i b = loadPixels<W>(p + 1);
+    PairSums s{_mm_add_epi16(_mm_unpacklo_epi8(a, zero),
+                             _mm_unpacklo_epi8(b, zero)),
+               zero};
+    if constexpr (W == 16) {
+        s.hi = _mm_add_epi16(_mm_unpackhi_epi8(a, zero),
+                             _mm_unpackhi_epi8(b, zero));
+    }
+    return s;
+}
+
+/**
+ * The half-pel filter of a W x W block over its (W+1) x (W+1) window
+ * @p p (row stride @p stride) into @p out (row stride W).
+ */
+template <int W>
+void
+halfPelBlock(const uint8_t *p, int stride, bool half_x, bool half_y,
+             uint8_t *out)
+{
+    if (half_x && half_y) {
+        // (p00 + p01 + p10 + p11 + 2) >> 2. Window row r + 1's pair
+        // sums serve output rows r and r + 1.
+        const __m128i two = _mm_set1_epi16(2);
+        PairSums top = pairSums<W>(p);
+        for (int r = 0; r < W; ++r) {
+            const PairSums bottom = pairSums<W>(p + (r + 1) * stride);
+            const __m128i lo = _mm_srli_epi16(
+                _mm_add_epi16(_mm_add_epi16(top.lo, bottom.lo), two), 2);
+            const __m128i hi = _mm_srli_epi16(
+                _mm_add_epi16(_mm_add_epi16(top.hi, bottom.hi), two), 2);
+            storePixels<W>(out + r * W, _mm_packus_epi16(lo, hi));
+            top = bottom;
+        }
+        return;
+    }
+    // One direction: average each pixel with its right or lower
+    // neighbour.
+    const int tap = half_x ? 1 : stride;
+    for (int r = 0; r < W; ++r) {
+        const uint8_t *p0 = p + r * stride;
+        storePixels<W>(out + r * W, _mm_avg_epu8(loadPixels<W>(p0),
+                                                 loadPixels<W>(p0 + tap)));
+    }
+}
+
 } // namespace
 
 void
@@ -112,6 +213,7 @@ extractBlock(const Plane &src, int x, int y, int n, uint8_t *out)
 void
 motionCompensate(const Plane &ref, int x, int y, int n, Mv mv, uint8_t *out)
 {
+    WSVA_ASSERT(n == 4 || n == 8 || n == 16, "MC block size %d", n);
     const int ix = x + (mv.x >> 1);
     const int iy = y + (mv.y >> 1);
     const bool half_x = mv.x & 1;
@@ -123,26 +225,15 @@ motionCompensate(const Plane &ref, int x, int y, int n, Mv mv, uint8_t *out)
     }
 
     // Bilinear half-pel over an (n+1) x (n+1) window, read in place.
-    WSVA_ASSERT(n <= 64, "MC block too large");
-    uint8_t scratch[65 * 65];
+    uint8_t scratch[17 * 17];
     int stride = 0;
     const uint8_t *p = readWindow(ref, ix, iy, n + 1, n + 1, scratch, stride);
-    for (int r = 0; r < n; ++r) {
-        const uint8_t *p0 = p + r * stride;
-        const uint8_t *p1 = p0 + stride;
-        uint8_t *o = out + r * n;
-        if (half_x && half_y) {
-            for (int c = 0; c < n; ++c)
-                o[c] = static_cast<uint8_t>(
-                    (p0[c] + p0[c + 1] + p1[c] + p1[c + 1] + 2) >> 2);
-        } else if (half_x) {
-            for (int c = 0; c < n; ++c)
-                o[c] = static_cast<uint8_t>((p0[c] + p0[c + 1] + 1) >> 1);
-        } else {
-            for (int c = 0; c < n; ++c)
-                o[c] = static_cast<uint8_t>((p0[c] + p1[c] + 1) >> 1);
-        }
-    }
+    if (n == 16)
+        halfPelBlock<16>(p, stride, half_x, half_y, out);
+    else if (n == 8)
+        halfPelBlock<8>(p, stride, half_x, half_y, out);
+    else
+        halfPelBlock<4>(p, stride, half_x, half_y, out);
 }
 
 uint32_t
@@ -196,18 +287,6 @@ sadAgainstBlock(const uint8_t *cur, const Plane &ref, int rx, int ry,
             acc += static_cast<uint32_t>(std::abs(int(s[c]) - int(q[c])));
         if (acc >= bound)
             return acc;
-    }
-    return acc;
-}
-
-uint64_t
-blockSse(const uint8_t *a, const uint8_t *b, int n)
-{
-    uint64_t acc = 0;
-    const int count = n * n;
-    for (int i = 0; i < count; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        acc += static_cast<uint64_t>(d * d);
     }
     return acc;
 }

@@ -5,7 +5,8 @@
  *
  * Motion vectors are stored in half-pel units throughout the codec.
  * The SAD kernels run on AVX2 for 8- and 16-pixel blocks on a CPU that
- * has it, with the same results as their scalar code.
+ * has it, with the same results as their scalar code. The half-pel
+ * filter runs on SSE2, the x86-64 baseline, on whole rows.
  */
 
 #ifndef WSVA_VIDEO_CODEC_MC_H
@@ -88,7 +89,7 @@ fetchPatch(const Plane &src, int x, int y, int w, int h, uint8_t *out)
 /**
  * Sample an n x n motion-compensated prediction from @p ref at block
  * position (x, y) displaced by @p mv (half-pel). Out-of-frame samples
- * are edge-clamped. Any int16 vector is valid.
+ * are edge-clamped. Any int16 vector is valid; n is 4, 8 or 16.
  */
 void motionCompensate(const Plane &ref, int x, int y, int n, Mv mv,
                       uint8_t *out);
@@ -118,9 +119,6 @@ uint32_t blockSadBounded(const uint8_t *a, const uint8_t *b, int n,
  */
 uint32_t sadAgainstBlock(const uint8_t *cur, const Plane &ref, int rx,
                          int ry, int n, uint32_t bound);
-
-/** Sum of squared errors between two n*n sample arrays. */
-uint64_t blockSse(const uint8_t *a, const uint8_t *b, int n);
 
 /**
  * SAD between the n x n block at (x, y) in @p src and the

@@ -656,6 +656,21 @@ zigzagOrder()
     return order;
 }
 
+const std::array<int16_t, kTxCoeffs> &
+zigzagInverse()
+{
+    static const std::array<int16_t, kTxCoeffs> inverse = [] {
+        std::array<int16_t, kTxCoeffs> o{};
+        const auto &order = zigzagOrder();
+        for (int si = 0; si < kTxCoeffs; ++si) {
+            o[static_cast<size_t>(order[static_cast<size_t>(si)])] =
+                static_cast<int16_t>(si);
+        }
+        return o;
+    }();
+    return inverse;
+}
+
 bool
 provablyZeroBlock(const ResidualBlock &residual, int qp, double deadzone)
 {

@@ -71,6 +71,12 @@ void dequantize(const CoeffBlock &levels, int qp,
 const std::array<int, kTxCoeffs> &zigzagOrder();
 
 /**
+ * The inverse of zigzagOrder(): raster coefficient index -> scan
+ * index, in int16 so that SIMD code loads eight entries at a time.
+ */
+const std::array<int16_t, kTxCoeffs> &zigzagInverse();
+
+/**
  * True when a bound on the forward DCT's output, taken from the
  * block's per-column absolute sums, proves that quantize() turns
  * every coefficient of @p residual into a zero level. Sufficient,

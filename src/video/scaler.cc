@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/profiler.h"
@@ -10,30 +11,58 @@ namespace wsva::video {
 
 namespace {
 
-/** Area-average downscale of one plane. */
+/** Source samples [begin, end) that one output sample averages. */
+struct Span
+{
+    int begin;
+    int end;
+};
+
+/** The Span of each of @p out_len outputs over @p in_len samples. */
+std::vector<Span>
+boxSpans(int in_len, int out_len)
+{
+    const double scale = static_cast<double>(in_len) / out_len;
+    std::vector<Span> spans(static_cast<size_t>(out_len));
+    for (int i = 0; i < out_len; ++i) {
+        const int begin = static_cast<int>(std::floor(i * scale));
+        const int end = std::max(begin + 1,
+            static_cast<int>(std::ceil((i + 1) * scale)));
+        spans[static_cast<size_t>(i)] = {begin, std::min(end, in_len)};
+    }
+    return spans;
+}
+
+/**
+ * Area-average downscale of one plane. The spans are computed once per
+ * plane; each output row first sums its source rows column by column,
+ * then each output sample sums its span of those column sums, which is
+ * the same integer as summing its source pixels one by one.
+ */
 Plane
 boxDownscale(const Plane &src, int dw, int dh)
 {
     Plane dst(dw, dh);
-    const double sx = static_cast<double>(src.width()) / dw;
-    const double sy = static_cast<double>(src.height()) / dh;
+    const std::vector<Span> cols = boxSpans(src.width(), dw);
+    const std::vector<Span> rows = boxSpans(src.height(), dh);
+    std::vector<uint32_t> col_sums(static_cast<size_t>(src.width()));
     for (int y = 0; y < dh; ++y) {
-        const int y0 = static_cast<int>(std::floor(y * sy));
-        const int y1 = std::max(y0 + 1,
-            static_cast<int>(std::ceil((y + 1) * sy)));
+        const Span ys = rows[static_cast<size_t>(y)];
+        std::fill(col_sums.begin(), col_sums.end(), 0u);
+        for (int yy = ys.begin; yy < ys.end; ++yy) {
+            const uint8_t *in = src.row(yy);
+            for (size_t xx = 0; xx < col_sums.size(); ++xx)
+                col_sums[xx] += in[xx];
+        }
+        uint8_t *out = dst.row(y);
         for (int x = 0; x < dw; ++x) {
-            const int x0 = static_cast<int>(std::floor(x * sx));
-            const int x1 = std::max(x0 + 1,
-                static_cast<int>(std::ceil((x + 1) * sx)));
+            const Span xs = cols[static_cast<size_t>(x)];
             uint32_t acc = 0;
-            uint32_t n = 0;
-            for (int yy = y0; yy < y1 && yy < src.height(); ++yy) {
-                for (int xx = x0; xx < x1 && xx < src.width(); ++xx) {
-                    acc += src.at(xx, yy);
-                    ++n;
-                }
-            }
-            dst.at(x, y) = static_cast<uint8_t>((acc + n / 2) / n);
+            for (int xx = xs.begin; xx < xs.end; ++xx)
+                acc += col_sums[static_cast<size_t>(xx)];
+            const auto n = static_cast<uint32_t>((xs.end - xs.begin) *
+                                                 (ys.end - ys.begin));
+            out[x] = static_cast<uint8_t>((acc + n / 2) / n);
         }
     }
     return dst;

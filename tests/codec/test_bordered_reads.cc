@@ -147,24 +147,43 @@ TEST_P(BorderedReads, MotionCompensateMatchesClampedFetchInAllPhases)
 {
     // The block sits at (8, 8); the vector moves its (n+1)-wide
     // half-pel window to each position, in each of the four phases.
+    // The positions include windows whose last row and column are the
+    // margin's (read in place: the filter's loads at p + 1 end there)
+    // and windows one pixel further (edge-emulated).
     constexpr int kX = 8;
     constexpr int kY = 8;
     for (int n : kBlockSizes) {
-        std::vector<Mv> mvs = extremeVectors();
-        for (const auto &pos : positions(n + 1, n + 1, margin())) {
-            for (int phase = 0; phase < 4; ++phase) {
+        for (int phase = 0; phase < 4; ++phase) {
+            std::vector<Mv> mvs;
+            for (const Mv mv : extremeVectors()) {
+                mvs.push_back({static_cast<int16_t>((mv.x & ~1) | phase % 2),
+                               static_cast<int16_t>((mv.y & ~1) | phase / 2)});
+            }
+            for (const auto &pos : positions(n + 1, n + 1, margin())) {
                 mvs.push_back(
                     {static_cast<int16_t>(2 * (pos[0] - kX) + phase % 2),
                      static_cast<int16_t>(2 * (pos[1] - kY) + phase / 2)});
             }
-        }
-        for (const Mv mv : mvs) {
-            uint8_t got[16 * 16];
-            uint8_t want[16 * 16];
-            motionCompensate(ref_, kX, kY, n, mv, got);
-            referenceMc(plain_, kX, kY, n, mv, want);
-            ASSERT_TRUE(std::equal(want, want + n * n, got))
-                << "n " << n << " mv " << mv.x << "," << mv.y;
+            int in_place_at_edge = 0;
+            int emulated = 0;
+            for (const Mv mv : mvs) {
+                const int wx = kX + (mv.x >> 1);
+                const int wy = kY + (mv.y >> 1);
+                const int w = phase == 0 ? n : n + 1;
+                const bool in_place = withinMargin(ref_, wx, wy, w, w);
+                in_place_at_edge +=
+                    in_place && wx + w == ref_.width() + margin();
+                emulated += !in_place;
+                uint8_t got[16 * 16];
+                uint8_t want[16 * 16];
+                motionCompensate(ref_, kX, kY, n, mv, got);
+                referenceMc(plain_, kX, kY, n, mv, want);
+                ASSERT_TRUE(std::equal(want, want + n * n, got))
+                    << "n " << n << " mv " << mv.x << "," << mv.y;
+            }
+            EXPECT_GT(in_place_at_edge, 0)
+                << "n " << n << " phase " << phase;
+            EXPECT_GT(emulated, 0) << "n " << n << " phase " << phase;
         }
     }
 }
