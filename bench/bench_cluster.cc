@@ -13,55 +13,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <vector>
 
-#include "cluster/cluster.h"
+#include "bench_util.h"
 
 using namespace wsva::cluster;
-using wsva::video::codec::CodecType;
+using namespace wsva::bench::steady;
 
 namespace {
-
-constexpr double kHorizonSeconds = 1200.0;
-constexpr double kTickSeconds = 1.0;
-constexpr int kHosts = 4;
-constexpr int kVcusPerHost = 20;
-constexpr int kStepsPerTick = 40;
-
-ClusterConfig
-benchConfig()
-{
-    ClusterConfig cfg;
-    cfg.hosts = kHosts;
-    cfg.vcus_per_host = kVcusPerHost;
-    cfg.seed = 41;
-    cfg.vcu_hard_fault_per_hour = 6.0;
-    cfg.vcu_silent_fault_per_hour = 6.0;
-    cfg.failure.host_fault_threshold = 3;
-    cfg.failure.repair_cap = 2;
-    cfg.failure.repair_seconds = 300.0;
-    // The bench reports no trace events; a small ring keeps the
-    // trace's memory footprint down.
-    cfg.trace_capacity = 4096;
-    return cfg;
-}
-
-ArrivalFn
-steadyArrivals()
-{
-    auto counter = std::make_shared<uint64_t>(0);
-    return [counter](double, double) {
-        std::vector<TranscodeStep> steps;
-        for (int i = 0; i < kStepsPerTick; ++i) {
-            const uint64_t id = (*counter)++;
-            steps.push_back(makeMotStep(id, id / 8,
-                                        static_cast<int>(id % 8),
-                                        {1920, 1080}, CodecType::VP9));
-        }
-        return steps;
-    };
-}
 
 /** Print a series as [[t, v], ...], thinned to at most 100 points so
  *  the in-tree BENCH file stays small. */
@@ -87,9 +45,9 @@ int
 main()
 {
     // --- Instrumented run: metrics, traces, conservation. ----------
-    ClusterSim sim(benchConfig());
+    ClusterSim sim(config());
     const ClusterMetrics m =
-        sim.run(kHorizonSeconds, kTickSeconds, steadyArrivals());
+        sim.run(kHorizonSeconds, kTickSeconds, arrivals());
     const ConservationSnapshot snap = sim.conservation();
     const auto &reg = sim.metricsRegistry();
 

@@ -12,45 +12,22 @@
  * BENCH_fleet_scale.json).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
-#include <memory>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "bench_util.h"
 
 using namespace wsva::cluster;
-using wsva::video::codec::CodecType;
+using namespace wsva::bench::trough;
+using wsva::bench::cpuSeconds;
+using wsva::bench::wallSeconds;
 
 namespace {
 
-constexpr double kHorizonSeconds = 2000.0;
-constexpr double kTickSeconds = 0.25;
-constexpr int kVcusPerHost = 20;
-constexpr double kTargetUtilization = 0.06;
-constexpr double kServiceSeconds = 20.0; //!< 1200 frames / 30 fps / 2x.
 constexpr int kObsArmHosts = 400;
 
 const int kSweepHosts[] = {4, 40, 400, 2000, 10000};
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 /** Resident set size from /proc/self/status (0 if unavailable). */
 uint64_t
@@ -72,55 +49,6 @@ rssBytes()
     return kb * 1024;
 }
 
-/**
- * Steady arrivals at a possibly fractional per-tick rate (a carry
- * accumulator spreads sub-1/tick rates evenly). Steps are 40 s video
- * chunks (1200 frames at 30 fps), i.e. ~20 s of service at the 2x
- * allocation speedup — long-lived work at low density.
- */
-ArrivalFn
-troughArrivals(double per_tick)
-{
-    auto counter = std::make_shared<uint64_t>(0);
-    auto carry = std::make_shared<double>(0.0);
-    return [per_tick, counter, carry](double, double) {
-        *carry += per_tick;
-        const int n = static_cast<int>(*carry);
-        *carry -= n;
-        std::vector<TranscodeStep> steps;
-        steps.reserve(static_cast<size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            const uint64_t id = (*counter)++;
-            TranscodeStep step =
-                makeMotStep(id, id / 8, static_cast<int>(id % 8),
-                            {1920, 1080}, CodecType::VP9);
-            step.frames = 1200;
-            steps.push_back(step);
-        }
-        return steps;
-    };
-}
-
-ClusterConfig
-fleetConfig(int hosts, bool observability)
-{
-    ClusterConfig cfg;
-    cfg.hosts = hosts;
-    cfg.vcus_per_host = kVcusPerHost;
-    cfg.seed = 4242;
-    // Light but non-zero fault processes: the arms must pay for
-    // fault/repair handling, not just completions.
-    cfg.vcu_hard_fault_per_hour = 0.01;
-    cfg.vcu_silent_fault_per_hour = 0.02;
-    cfg.failure.repair_seconds = 600.0;
-    cfg.observability = observability;
-    cfg.slo.enabled = false;
-    // The (video, VCU) blast-radius map grows with distinct pairs —
-    // at 200k VCUs and a million steps it would dominate memory.
-    cfg.track_blast_radius = false;
-    return cfg;
-}
-
 struct ArmResult
 {
     ClusterMetrics m;
@@ -134,15 +62,12 @@ ArmResult
 runArm(int hosts, bool observability)
 {
     ArmResult r;
-    const double per_tick = hosts * kVcusPerHost *
-                            kTargetUtilization / kServiceSeconds *
-                            kTickSeconds;
     const uint64_t rss0 = rssBytes();
-    ClusterSim sim(fleetConfig(hosts, observability));
+    ClusterSim sim(config(hosts, observability));
     const double w0 = wallSeconds();
     const double c0 = cpuSeconds();
     r.m = sim.run(kHorizonSeconds, kTickSeconds,
-                  troughArrivals(per_tick));
+                  arrivals(stepsPerTick(hosts)));
     r.wall_s = wallSeconds() - w0;
     r.cpu_s = cpuSeconds() - c0;
     const uint64_t rss1 = rssBytes();

@@ -25,15 +25,16 @@
  * BENCH_global.json) and exits non-zero when an invariant fails.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <vector>
 
+#include "bench_util.h"
 #include "global/global_router.h"
 #include "workload/traffic.h"
 
 using namespace wsva::global;
+using wsva::bench::cpuSeconds;
+using wsva::bench::wallSeconds;
 using wsva::cluster::ClusterSim;
 using wsva::cluster::ConservationSnapshot;
 
@@ -54,23 +55,6 @@ constexpr double kUploadsPerSecond = 60.0;
 constexpr int kBlackholeRegion = 3;
 constexpr double kBlackholeAtSeconds = 50.0;
 constexpr double kBlackholeSpeedFactor = 0.4;
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 GlobalRouterConfig
 routerConfig(bool gating)

@@ -29,17 +29,16 @@
  * no-shed arm that fails to demonstrate the violation.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <memory>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "bench_util.h"
 #include "workload/traffic.h"
 
 using namespace wsva::cluster;
+using wsva::bench::cpuSeconds;
+using wsva::bench::wallSeconds;
 using wsva::video::codec::CodecType;
 
 namespace {
@@ -70,23 +69,6 @@ constexpr double kDeadlineSeconds = 5.0;
 constexpr double kSurgeMultiplier = 10.0;
 constexpr double kSurgeStart = 60.0;
 constexpr double kSurgeEnd = 90.0;
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 /** Batch arrivals: one prefill burst, then a steady trickle. */
 ArrivalFn

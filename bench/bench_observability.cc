@@ -20,61 +20,31 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <ctime>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "bench_util.h"
 #include "common/debug_server.h"
 #include "common/profiler.h"
 #include "common/trace.h"
 
 using namespace wsva::cluster;
-using wsva::video::codec::CodecType;
+using namespace wsva::bench::steady;
+using wsva::bench::cpuSeconds;
 
 namespace {
 
-constexpr double kHorizonSeconds = 1200.0;
-constexpr double kTickSeconds = 1.0;
-constexpr int kHosts = 4;
-constexpr int kVcusPerHost = 20;
-constexpr int kStepsPerTick = 40;
 constexpr int kReps = 21; //!< Overhead measurement pairs.
 constexpr double kOverheadBudgetPct = 5.0;
 constexpr uint32_t kSpanSamplePeriod = 16; //!< Trace every Nth upload.
 
-/**
- * CPU seconds consumed by this process. The sim thread does the work,
- * so this tracks the run's execution time, but unlike wall clock it
- * does not charge for preemption by noisy neighbors, which on a
- * shared machine swamps a few-percent effect.
- */
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 ClusterConfig
 benchConfig(bool spans_and_slo)
 {
-    ClusterConfig cfg;
-    cfg.hosts = kHosts;
-    cfg.vcus_per_host = kVcusPerHost;
-    cfg.seed = 41;
-    cfg.vcu_hard_fault_per_hour = 6.0;
-    cfg.vcu_silent_fault_per_hour = 6.0;
-    cfg.failure.host_fault_threshold = 3;
-    cfg.failure.repair_cap = 2;
-    cfg.failure.repair_seconds = 300.0;
+    ClusterConfig cfg = config();
     cfg.observability = true; // Metrics on in BOTH arms.
-    cfg.trace_capacity = 4096;
     cfg.tracing = spans_and_slo;
     cfg.slo.enabled = spans_and_slo;
     cfg.slo.p99_target_seconds = 120.0;
@@ -92,22 +62,6 @@ benchConfig(bool spans_and_slo)
     return cfg;
 }
 
-ArrivalFn
-steadyArrivals()
-{
-    auto counter = std::make_shared<uint64_t>(0);
-    return [counter](double, double) {
-        std::vector<TranscodeStep> steps;
-        for (int i = 0; i < kStepsPerTick; ++i) {
-            const uint64_t id = (*counter)++;
-            steps.push_back(makeMotStep(id, id / 8,
-                                        static_cast<int>(id % 8),
-                                        {1920, 1080}, CodecType::VP9));
-        }
-        return steps;
-    };
-}
-
 double
 timedRun(bool spans_and_slo)
 {
@@ -122,7 +76,7 @@ timedRun(bool spans_and_slo)
         server->start();
     }
     const double t0 = cpuSeconds();
-    sim.run(kHorizonSeconds, kTickSeconds, steadyArrivals());
+    sim.run(kHorizonSeconds, kTickSeconds, arrivals());
     const double elapsed = cpuSeconds() - t0;
     if (server != nullptr)
         server->stop();
@@ -147,7 +101,7 @@ profiledRun(bool profiler_on)
         prof.startSampler();
     ClusterSim sim(benchConfig(false));
     const double t0 = cpuSeconds();
-    sim.run(kHorizonSeconds, kTickSeconds, steadyArrivals());
+    sim.run(kHorizonSeconds, kTickSeconds, arrivals());
     const double elapsed = cpuSeconds() - t0;
     prof.stopSampler();
     prof.setEnabled(false);
@@ -203,7 +157,7 @@ main()
     sim.attachDebugServer(server, "bench_observability");
     const bool server_ok = server.start();
     const ClusterMetrics m =
-        sim.run(kHorizonSeconds, kTickSeconds, steadyArrivals());
+        sim.run(kHorizonSeconds, kTickSeconds, arrivals());
     const wsva::Tracer &tracer = sim.tracer();
 
     std::map<std::string, uint64_t> span_counts;

@@ -20,12 +20,11 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "bench_util.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -37,6 +36,7 @@
 
 using namespace wsva::platform;
 using wsva::Rng;
+using wsva::bench::wallSeconds;
 using wsva::video::Frame;
 using wsva::video::generateVideo;
 using wsva::video::RdPoint;
@@ -45,15 +45,6 @@ using wsva::workload::UploadTraffic;
 using wsva::workload::UploadTrafficConfig;
 
 namespace {
-
-double
-nowSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
 
 std::vector<Frame>
 catalogClip(int index)
@@ -94,9 +85,9 @@ probeSeconds(const std::vector<Frame> &clip, int threads, int reps)
     cfg.num_threads = threads;
     double best = 1e30;
     for (int rep = 0; rep < reps; ++rep) {
-        const double t0 = nowSeconds();
+        const double t0 = wallSeconds();
         const auto curve = buildRateQualityCurve(clip, cfg);
-        best = std::min(best, nowSeconds() - t0);
+        best = std::min(best, wallSeconds() - t0);
         if (curve.points.empty())
             return 0.0;
     }

@@ -11,17 +11,18 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/thread_pool.h"
 #include "platform/pipeline.h"
 #include "video/codec/motion_search.h"
 #include "video/synth.h"
 
 using namespace wsva::platform;
+using wsva::bench::wallSeconds;
 using wsva::video::Frame;
 using wsva::video::generateVideo;
 using wsva::video::Plane;
@@ -35,15 +36,6 @@ using wsva::video::codec::SearchKind;
 using wsva::video::codec::searchMotion;
 
 namespace {
-
-double
-nowSeconds()
-{
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(
-               clock::now().time_since_epoch())
-        .count();
-}
 
 /**
  * Reference motion search replicating the pre-optimization kernel:
@@ -153,10 +145,10 @@ motFramesPerSecond(const std::vector<Frame> &clip,
     const PipelineConfig cfg = benchConfig(threads);
     double best = 0.0;
     for (int rep = 0; rep < repeats; ++rep) {
-        const double t0 = nowSeconds();
+        const double t0 = wallSeconds();
         const auto result =
             transcodeMot(clip, ladder, CodecType::VP9, cfg);
-        const double dt = nowSeconds() - t0;
+        const double dt = wallSeconds() - t0;
         if (!result.integrity_ok) {
             std::fprintf(stderr, "integrity failure: %s\n",
                          result.integrity_error.c_str());
@@ -191,7 +183,7 @@ main()
     uint64_t ref_sink = 0;
     uint64_t opt_sink = 0;
     for (int rep = 0; rep < reps; ++rep) {
-        double t0 = nowSeconds();
+        double t0 = wallSeconds();
         for (int y = 0; y + 16 <= src_plane.height(); y += 16) {
             for (int x = 0; x + 16 <= src_plane.width(); x += 16) {
                 const auto mr = searchMotionReference(
@@ -200,9 +192,9 @@ main()
                 ref_sink += mr.sad;
             }
         }
-        ref_time = std::min(ref_time, nowSeconds() - t0);
+        ref_time = std::min(ref_time, wallSeconds() - t0);
 
-        t0 = nowSeconds();
+        t0 = wallSeconds();
         for (int y = 0; y + 16 <= src_plane.height(); y += 16) {
             for (int x = 0; x + 16 <= src_plane.width(); x += 16) {
                 const auto mr = searchMotion(src_plane, ref_plane, x, y,
@@ -211,7 +203,7 @@ main()
                 opt_sink += mr.sad;
             }
         }
-        opt_time = std::min(opt_time, nowSeconds() - t0);
+        opt_time = std::min(opt_time, wallSeconds() - t0);
     }
     if (ref_sink != opt_sink) {
         std::fprintf(stderr,

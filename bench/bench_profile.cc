@@ -26,13 +26,11 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/profiler.h"
 #include "platform/pipeline.h"
@@ -40,6 +38,8 @@
 
 using namespace wsva;
 using namespace wsva::cluster;
+using namespace wsva::bench::trough;
+using wsva::bench::wallSeconds;
 using wsva::platform::PipelineConfig;
 using wsva::platform::transcodeMot;
 using wsva::video::SynthSpec;
@@ -47,67 +47,15 @@ using wsva::video::codec::CodecType;
 
 namespace {
 
-// Mirrors bench_fleet_scale's scenario so the committed
-// BENCH_fleet_scale.json numbers stay comparable (that bench runs
-// profiler-dark; a regression there is also the "dark costs ~0"
-// gate).
-constexpr double kHorizonSeconds = 2000.0;
-constexpr double kTickSeconds = 0.25;
-constexpr int kVcusPerHost = 20;
-constexpr double kTargetUtilization = 0.06;
-constexpr double kServiceSeconds = 20.0;
+// bench_fleet_scale's trough scenario at its top scale, so the
+// committed BENCH_fleet_scale.json numbers stay comparable (that
+// bench runs profiler-dark; a regression there is also the "dark
+// costs ~0" gate).
 constexpr int kFleetHosts = 10000;
 constexpr int kOverheadPairs = 5;
 constexpr double kOverheadSanityPct = 25.0;
 constexpr uint64_t kSamplerPeriodUs = 2000;
 constexpr int kTopK = 10;
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-ArrivalFn
-troughArrivals(double per_tick)
-{
-    auto counter = std::make_shared<uint64_t>(0);
-    auto carry = std::make_shared<double>(0.0);
-    return [per_tick, counter, carry](double, double) {
-        *carry += per_tick;
-        const int n = static_cast<int>(*carry);
-        *carry -= n;
-        std::vector<TranscodeStep> steps;
-        steps.reserve(static_cast<size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            const uint64_t id = (*counter)++;
-            TranscodeStep step =
-                makeMotStep(id, id / 8, static_cast<int>(id % 8),
-                            {1920, 1080}, CodecType::VP9);
-            step.frames = 1200;
-            steps.push_back(step);
-        }
-        return steps;
-    };
-}
-
-ClusterConfig
-fleetConfig(int hosts)
-{
-    ClusterConfig cfg;
-    cfg.hosts = hosts;
-    cfg.vcus_per_host = kVcusPerHost;
-    cfg.seed = 4242;
-    cfg.vcu_hard_fault_per_hour = 0.01;
-    cfg.vcu_silent_fault_per_hour = 0.02;
-    cfg.failure.repair_seconds = 600.0;
-    cfg.observability = false;
-    cfg.slo.enabled = false;
-    cfg.track_blast_radius = false;
-    return cfg;
-}
 
 struct FleetRun
 {
@@ -126,14 +74,11 @@ runFleet(int hosts, bool profiled)
     if (profiled)
         prof.startSampler(kSamplerPeriodUs);
 
-    const double per_tick = hosts * kVcusPerHost *
-                            kTargetUtilization / kServiceSeconds *
-                            kTickSeconds;
     FleetRun r;
-    ClusterSim sim(fleetConfig(hosts));
+    ClusterSim sim(config(hosts, /*observability=*/false));
     const double w0 = wallSeconds();
     r.m = sim.run(kHorizonSeconds, kTickSeconds,
-                  troughArrivals(per_tick));
+                  arrivals(stepsPerTick(hosts)));
     r.wall_s = wallSeconds() - w0;
     r.conservation_holds = sim.conservation().holds() &&
                            r.m.conservation_violations == 0;

@@ -125,14 +125,12 @@ echo "Wrote $repo_root/BENCH_observability.json" >&2
 # in-tree, so its absence means a broken checkout — fail loudly
 # rather than silently skipping the gate.
 echo "Running bench_fleet_scale ..." >&2
-prev_fleet_eps=""
-if command -v python3 >/dev/null; then
-    if [ ! -f "$repo_root/BENCH_fleet_scale.json" ]; then
-        echo "missing baseline $repo_root/BENCH_fleet_scale.json" \
-             "(needed for the events/s regression gate)" >&2
-        exit 1
-    fi
-    prev_fleet_eps=$(python3 -c '
+if [ ! -f "$repo_root/BENCH_fleet_scale.json" ]; then
+    echo "missing baseline $repo_root/BENCH_fleet_scale.json" \
+         "(needed for the events/s regression gate)" >&2
+    exit 1
+fi
+prev_fleet_eps=$(python3 -c '
 import json, sys
 try:
     doc = json.load(open(sys.argv[1]))
@@ -140,16 +138,14 @@ try:
     print(top["event"]["events_per_s"])
 except Exception:
     pass' "$repo_root/BENCH_fleet_scale.json")
-    if [ -z "$prev_fleet_eps" ]; then
-        echo "baseline BENCH_fleet_scale.json is unreadable" >&2
-        exit 1
-    fi
+if [ -z "$prev_fleet_eps" ]; then
+    echo "baseline BENCH_fleet_scale.json is unreadable" >&2
+    exit 1
 fi
 "$build_dir/bench/bench_fleet_scale" \
     > "$repo_root/BENCH_fleet_scale.json"
-if command -v python3 >/dev/null; then
-    if ! python3 - "$repo_root/BENCH_fleet_scale.json" \
-                  "${prev_fleet_eps:-}" <<'EOF'
+if ! python3 - "$repo_root/BENCH_fleet_scale.json" \
+              "$prev_fleet_eps" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["bench"] == "fleet_scale"
@@ -168,14 +164,9 @@ if prev:
     assert cur >= 0.90 * ref, \
         f"events/s regressed >10%: {cur:.0f} vs {ref:.0f}"
 EOF
-    then
-        echo "BENCH_fleet_scale.json failed schema check" >&2
-        exit 1
-    fi
-else
-    grep -q '"conservation_holds_all_arms": true' \
-        "$repo_root/BENCH_fleet_scale.json" \
-        || { echo "BENCH_fleet_scale.json failed schema check" >&2; exit 1; }
+then
+    echo "BENCH_fleet_scale.json failed schema check" >&2
+    exit 1
 fi
 echo "Wrote $repo_root/BENCH_fleet_scale.json" >&2
 
@@ -185,7 +176,7 @@ echo "Wrote $repo_root/BENCH_fleet_scale.json" >&2
 # committed BENCH_live_surge.json: a >10% regression fails the run.
 echo "Running bench_live_surge ..." >&2
 prev_live_p99=""
-if [ -f "$repo_root/BENCH_live_surge.json" ] && command -v python3 >/dev/null; then
+if [ -f "$repo_root/BENCH_live_surge.json" ]; then
     prev_live_p99=$(python3 -c '
 import json, sys
 try:
@@ -196,9 +187,8 @@ except Exception:
 fi
 "$build_dir/bench/bench_live_surge" \
     > "$repo_root/BENCH_live_surge.json"
-if command -v python3 >/dev/null; then
-    if ! python3 - "$repo_root/BENCH_live_surge.json" \
-                  "${prev_live_p99:-}" <<'EOF'
+if ! python3 - "$repo_root/BENCH_live_surge.json" \
+              "$prev_live_p99" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["bench"] == "live_surge"
@@ -227,13 +217,9 @@ if prev:
     assert cur <= 1.10 * ref, \
         f"live p99 regressed >10%: {cur:.3f}s vs {ref:.3f}s"
 EOF
-    then
-        echo "BENCH_live_surge.json failed schema check" >&2
-        exit 1
-    fi
-else
-    grep -q '"shed_under_budget": true' "$repo_root/BENCH_live_surge.json" \
-        || { echo "BENCH_live_surge.json failed schema check" >&2; exit 1; }
+then
+    echo "BENCH_live_surge.json failed schema check" >&2
+    exit 1
 fi
 echo "Wrote $repo_root/BENCH_live_surge.json" >&2
 
@@ -244,7 +230,7 @@ echo "Wrote $repo_root/BENCH_live_surge.json" >&2
 # BENCH_global.json: a >5% regression fails the run.
 echo "Running bench_global (3 arms x 100k VCUs) ..." >&2
 prev_global_avail=""
-if [ -f "$repo_root/BENCH_global.json" ] && command -v python3 >/dev/null; then
+if [ -f "$repo_root/BENCH_global.json" ]; then
     prev_global_avail=$(python3 -c '
 import json, sys
 try:
@@ -255,9 +241,8 @@ except Exception:
 fi
 "$build_dir/bench/bench_global" \
     > "$repo_root/BENCH_global.json"
-if command -v python3 >/dev/null; then
-    if ! python3 - "$repo_root/BENCH_global.json" \
-                  "${prev_global_avail:-}" <<'EOF'
+if ! python3 - "$repo_root/BENCH_global.json" \
+              "$prev_global_avail" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["bench"] == "global"
@@ -288,13 +273,9 @@ if prev:
     assert cur >= 0.95 * ref, \
         f"gated availability regressed >5%: {cur:.4f} vs {ref:.4f}"
 EOF
-    then
-        echo "BENCH_global.json failed schema check" >&2
-        exit 1
-    fi
-else
-    grep -q '"availability_wins": true' "$repo_root/BENCH_global.json" \
-        || { echo "BENCH_global.json failed schema check" >&2; exit 1; }
+then
+    echo "BENCH_global.json failed schema check" >&2
+    exit 1
 fi
 echo "Wrote $repo_root/BENCH_global.json" >&2
 
@@ -305,8 +286,7 @@ echo "Wrote $repo_root/BENCH_global.json" >&2
 echo "Running bench_profile (fleet arms take ~10 s) ..." >&2
 "$build_dir/bench/bench_profile" \
     > "$repo_root/BENCH_profile.json"
-if command -v python3 >/dev/null; then
-    if ! python3 - "$repo_root/BENCH_profile.json" <<'EOF'
+if ! python3 - "$repo_root/BENCH_profile.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["bench"] == "profile"
@@ -327,14 +307,9 @@ assert len(kernels) >= 3, "codec kernel attribution incomplete"
 assert doc["codec_kernels"]["top_simd_target"], "no SIMD target ranked"
 assert doc["conservation_holds_all_arms"] is True
 EOF
-    then
-        echo "BENCH_profile.json failed schema check" >&2
-        exit 1
-    fi
-else
-    grep -q '"conservation_holds_all_arms": true' \
-        "$repo_root/BENCH_profile.json" \
-        || { echo "BENCH_profile.json failed schema check" >&2; exit 1; }
+then
+    echo "BENCH_profile.json failed schema check" >&2
+    exit 1
 fi
 echo "Wrote $repo_root/BENCH_profile.json" >&2
 

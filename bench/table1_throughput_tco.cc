@@ -34,7 +34,7 @@ double
 packedThroughput(bool mot, CodecType codec)
 {
     ResourceMappingPolicy policy;
-    Worker worker(0, WorkerType::Vcu, vcuWorkerCapacity());
+    Worker worker(0, vcuWorkerCapacity());
     double mpix_per_s = 0.0;
     uint64_t id = 0;
     // Production-like input mix; the size diversity lets the packer

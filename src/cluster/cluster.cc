@@ -89,22 +89,12 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
     for (int h = 0; h < cfg_.hosts; ++h) {
         HostModel host;
         host.id = h;
-        host.vcu_health.resize(static_cast<size_t>(cfg_.vcus_per_host));
         for (int v = 0; v < cfg_.vcus_per_host; ++v) {
-            auto worker = std::make_unique<Worker>(
-                worker_id++, WorkerType::Vcu, vcuWorkerCapacity());
-            host.workers.push_back(std::move(worker));
+            host.workers.push_back(
+                std::make_unique<Worker>(worker_id++, vcuWorkerCapacity()));
+            all_workers.push_back(host.workers.back().get());
         }
         hosts_.push_back(std::move(host));
-    }
-    // Bind after the host vector is stable (no more moves).
-    for (auto &host : hosts_) {
-        for (int v = 0; v < cfg_.vcus_per_host; ++v) {
-            Worker *w = host.workers[static_cast<size_t>(v)].get();
-            w->bindVcu(&host.vcu_health[static_cast<size_t>(v)]);
-            w->attachObservability(&registry_, &trace_);
-            all_workers.push_back(w);
-        }
     }
 
     if (cfg_.use_consistent_hashing) {
@@ -129,9 +119,9 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
     }
     scheduler_->attachMetrics(&registry_);
     // The segment-tree availability index returns the identical
-    // first-fit pick in O(log n) instead of O(n). Health mutations
-    // outside the worker (fault injection, repair drains) call
-    // scheduler_->refresh() to keep it coherent.
+    // first-fit pick in O(log n) instead of O(n); every worker
+    // mutation, VCU faults and repairs included, keeps it coherent
+    // through the worker's availability listener.
     if (auto *bp = dynamic_cast<BinPackScheduler *>(scheduler_.get()))
         bp->enableIndex();
 
@@ -179,17 +169,11 @@ ClusterSim::spanSampled(uint64_t step_id) const
 }
 
 Worker *
-ClusterSim::workerAt(int host, int vcu)
-{
-    return hosts_[static_cast<size_t>(host)]
-        .workers[static_cast<size_t>(vcu)]
-        .get();
-}
-
-Worker *
 ClusterSim::workerByGid(int gid)
 {
-    return workerAt(gid / cfg_.vcus_per_host, gid % cfg_.vcus_per_host);
+    return hostOfGid(gid)
+        .workers[static_cast<size_t>(gid % cfg_.vcus_per_host)]
+        .get();
 }
 
 HostModel &
@@ -216,9 +200,9 @@ ClusterSim::maybeEnterRepair(HostModel &host, double now)
     host.in_repair = true;
     repair_enter_[static_cast<size_t>(host.id)] = now;
     // Everything on the host is drained/disabled.
-    for (size_t v = 0; v < host.vcu_health.size(); ++v) {
-        host.vcu_health[v].markFaulted(now);
-        Worker *w = host.workers[v].get();
+    for (auto &worker : host.workers) {
+        Worker *w = worker.get();
+        w->markFaulted(now);
         cancelCompletionEvent(w->id());
         auto aborted = w->abortAll();
         in_flight_count_ -= aborted.size();
@@ -230,7 +214,6 @@ ClusterSim::maybeEnterRepair(HostModel &host, double now)
                           w->id(), step.id, step.video_id);
             backlog_.push_front(step);
         }
-        scheduler_->refresh(*w);
     }
     ev_->queue.schedule(repairs_.completionTime(host.id),
                         SimEventType::RepairDone, host.id);
@@ -252,11 +235,10 @@ ClusterSim::restoreHost(HostModel &host, double now)
             static_cast<uint64_t>(host.id));
     }
     entered = -1.0;
-    for (size_t v = 0; v < host.vcu_health.size(); ++v) {
-        host.vcu_health[v] = VcuHealth{};
+    for (auto &worker : host.workers) {
         // A quarantined worker sat out until this repair; close
         // its quarantine interval on the host lane.
-        const int gid = host.workers[v]->id();
+        const int gid = worker->id();
         double &quarantined =
             quarantine_enter_[static_cast<size_t>(gid)];
         if (tracer_->enabled() && quarantined >= 0.0) {
@@ -266,7 +248,7 @@ ClusterSim::restoreHost(HostModel &host, double now)
                 "worker", static_cast<uint64_t>(gid));
         }
         quarantined = -1.0;
-        host.workers[v]->repairReset();
+        worker->repairReset();
     }
 }
 
@@ -403,12 +385,20 @@ ClusterSim::processOutcome(HostModel &host, Worker *w,
 void
 ClusterSim::collectWorker(HostModel &host, Worker *w, double now)
 {
+    // Static name: one completion per step makes this a hot path;
+    // don't rebuild the string each time.
+    static const std::string kServiceSeconds = "worker.service_seconds";
     // processOutcome never collects, so the shared buffer is not
     // refilled while this loop reads it.
     w->collectFinished(now, outcomes_);
     in_flight_count_ -= outcomes_.size();
-    for (const auto &outcome : outcomes_)
+    for (const auto &outcome : outcomes_) {
+        if (outcome.ok)
+            registry_.observe(kServiceSeconds,
+                              outcome.finish_time - outcome.start_time,
+                              0.0, 600.0, 60);
         processOutcome(host, w, outcome, now);
+    }
 }
 
 void
@@ -443,13 +433,8 @@ ClusterSim::scheduleBacklog(double now)
             bool set_alive = false;
             for (int wid : ring_->affinitySet(step.video_id,
                                               cfg_.affinity_set_size)) {
-                Worker *candidate = workerAt(wid / cfg_.vcus_per_host,
-                                             wid % cfg_.vcus_per_host);
-                const bool dead =
-                    candidate->refused() ||
-                    (candidate->vcu() != nullptr &&
-                     candidate->vcu()->disabled);
-                set_alive |= !dead;
+                Worker *candidate = workerByGid(wid);
+                set_alive |= candidate->usable();
                 if (candidate->canFit(need)) {
                     w = candidate;
                     break;
@@ -508,6 +493,8 @@ ClusterSim::scheduleBacklog(double now)
         const ResourceVector reservation =
             scheduler_->reservationFor(need);
         w->assign(step, reservation, now, service);
+        trace_.record(TraceEventType::StepScheduled, now, -1, gid,
+                      step.id, step.video_id);
         ++in_flight_count_;
         updateCompletionEvent(w);
         // Remember where batch work landed so a future shed can find
@@ -682,17 +669,13 @@ ClusterSim::forceSilentFaults(double speed_factor)
     for (auto &host : hosts_) {
         if (host.in_repair)
             continue;
-        for (size_t v = 0; v < host.vcu_health.size(); ++v) {
-            VcuHealth &health = host.vcu_health[v];
-            if (health.disabled || health.silent_fault)
+        for (auto &w : host.workers) {
+            if (w->health().disabled || w->health().silent_fault)
                 continue;
-            health.silent_fault = true;
-            health.speed_factor = speed_factor;
+            w->markSilentFault(speed_factor);
             registry_.inc("cluster.silent_faults");
             trace_.record(TraceEventType::SilentFaultInjected, clock_,
-                          host.id,
-                          host.id * cfg_.vcus_per_host +
-                              static_cast<int>(v));
+                          host.id, w->id());
         }
     }
 }
@@ -757,10 +740,9 @@ ClusterSim::sampleTick(double now)
     for (auto &host : hosts_) {
         if (host.in_repair)
             continue;
-        for (size_t v = 0; v < host.workers.size(); ++v) {
-            if (host.vcu_health[v].disabled)
+        for (const auto &w : host.workers) {
+            if (w->health().disabled)
                 continue;
-            const Worker *w = host.workers[v].get();
             enc += w->dimensionUtilization(utilDims().enc);
             dec += w->dimensionUtilization(utilDims().dec);
             cpu += w->dimensionUtilization(utilDims().host_cpu);
@@ -883,13 +865,11 @@ ClusterSim::buildFleetHealth(double now) const
         NodeHealth node;
         node.id = host.id;
         double util = 0.0;
-        for (size_t v = 0; v < host.workers.size(); ++v) {
-            const Worker *w = host.workers[v].get();
-            const VcuHealth &health = host.vcu_health[v];
+        for (const auto &w : host.workers) {
             node.counts.add(classifyWorker(host.in_repair,
                                            w->refused(),
-                                           health.disabled,
-                                           health.silent_fault));
+                                           w->health().disabled,
+                                           w->health().silent_fault));
             util += w->dimensionUtilization(utilDims().enc);
         }
         if (!host.workers.empty())

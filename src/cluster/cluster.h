@@ -260,13 +260,13 @@ struct ClusterMetrics
     uint64_t events_processed = 0;
 };
 
-/** One host: 20 VCUs, each with exclusive worker + health state. */
+/** One host: 20 VCUs, each with an exclusive worker that owns the
+ *  VCU's health. */
 struct HostModel
 {
     int id = 0;
     bool in_repair = false;
     int fault_count = 0;
-    std::vector<VcuHealth> vcu_health;
     std::vector<std::unique_ptr<Worker>> workers;
 };
 
@@ -485,7 +485,6 @@ class ClusterSim
     void trackUpload(const TranscodeStep &step, double now);
     /** Whether this step id is head-sampled for span tracing. */
     bool spanSampled(uint64_t step_id) const;
-    Worker *workerAt(int host, int vcu);
     Worker *workerByGid(int gid);
     HostModel &hostOfGid(int gid);
 

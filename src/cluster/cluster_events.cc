@@ -48,10 +48,10 @@ namespace {
 /** Interned phase id per SimEventType, indexed by the enum value. */
 struct EventPhases {
     int run;
-    int ids[7];
+    int ids[6];
     int byType(size_t type) const
     {
-        return type < 7 ? ids[type] : -1;
+        return type < 6 ? ids[type] : -1;
     }
 };
 
@@ -68,7 +68,6 @@ eventPhases()
             phaseId("event/repair_done"),
             phaseId("event/worker_done"),
             phaseId("event/slo_eval"),
-            phaseId("event/publish"),
         }};
     return p;
 }
@@ -133,17 +132,14 @@ ClusterSim::handleHardFault(double now)
     ev_->queue.schedule(now + rng_.exponential(ev_->hard_rate),
                         SimEventType::HardFault);
     HostModel &host = hostOfGid(gid);
-    VcuHealth &health =
-        host.vcu_health[static_cast<size_t>(gid % cfg_.vcus_per_host)];
-    if (host.in_repair || health.disabled)
-        return; // Thinning: the victim is not an active VCU.
     Worker *w = workerByGid(gid);
-    health.markFaulted(now);
+    if (host.in_repair || w->health().disabled)
+        return; // Thinning: the victim is not an active VCU.
+    w->markFaulted(now);
     ++host.fault_count;
     ++metrics_.vcus_disabled;
     registry_.inc("cluster.vcus_disabled");
     trace_.record(TraceEventType::FaultInjected, now, host.id, gid);
-    scheduler_->refresh(*w);
     // The dead worker's in-flight steps fail now, under the same
     // outcome bookkeeping as a completion.
     cancelCompletionEvent(gid);
@@ -160,12 +156,11 @@ ClusterSim::handleSilentFault(double now)
     ev_->queue.schedule(now + rng_.exponential(ev_->silent_rate),
                         SimEventType::SilentFault);
     HostModel &host = hostOfGid(gid);
-    VcuHealth &health =
-        host.vcu_health[static_cast<size_t>(gid % cfg_.vcus_per_host)];
-    if (host.in_repair || health.disabled || health.silent_fault)
+    Worker *w = workerByGid(gid);
+    if (host.in_repair || w->health().disabled ||
+        w->health().silent_fault)
         return; // Thinning: not an active, still-honest VCU.
-    health.silent_fault = true;
-    health.speed_factor = cfg_.silent_speed_factor;
+    w->markSilentFault(cfg_.silent_speed_factor);
     registry_.inc("cluster.silent_faults");
     trace_.record(TraceEventType::SilentFaultInjected, now, host.id,
                   gid);
@@ -254,9 +249,6 @@ ClusterSim::handleEvent(const EventQueue::Event &e)
         break;
     case SimEventType::SloEval:
         handleSloEval(e.time);
-        break;
-    case SimEventType::Publish:
-        publishRollup(e.time);
         break;
     case SimEventType::WorkerDone:
         break; // Handled above.

@@ -12,11 +12,12 @@
  * enters repair.
  *
  * Ordering is fully deterministic: ties on time break by event type
- * (arrivals, fault injection, repairs, completions, SLO accounting,
- * telemetry publish), then by a monotonically increasing schedule
- * sequence number. Handles are slab indices tagged with a generation
- * byte so a stale cancel of a slot that was already popped and reused
- * is detected instead of silently removing the wrong event.
+ * (arrivals, fault injection, repairs, completions, SLO accounting
+ * with the telemetry publish it carries), then by a monotonically
+ * increasing schedule sequence number. Handles are slab indices
+ * tagged with a generation byte so a stale cancel of a slot that was
+ * already popped and reused is detected instead of silently removing
+ * the wrong event.
  */
 
 #ifndef WSVA_CLUSTER_EVENT_QUEUE_H
@@ -38,8 +39,7 @@ enum class SimEventType : uint8_t {
     SilentFault = 2,   //!< Fleet-level silent-fault process fires.
     RepairDone = 3,    //!< A host's repair completes.
     WorkerDone = 4,    //!< A worker's earliest running step finishes.
-    SloEval = 5,       //!< SLO window accounting boundary.
-    Publish = 6,       //!< Fleet-health rollup + telemetry sample.
+    SloEval = 5,       //!< SLO accounting; rollup on its cadence.
 };
 
 /** Indexed binary min-heap of simulation events. Not thread-safe. */

@@ -97,10 +97,11 @@ struct FleetHealthSnapshot
     HealthCounts cluster;
     double encoder_utilization = 0.0;
     double retry_rate = 0.0;
-    /** Raw lifetime counts behind retry_rate. The global router's
-     *  health gate needs the numerator/denominator, not the ratio:
-     *  it differences successive rollups to get a *windowed* retry
-     *  rate, which a pre-divided lifetime ratio cannot provide. */
+    /** Raw lifetime counts behind retry_rate, exported in the JSON
+     *  rollup so a scraper can difference two rollups into a
+     *  windowed rate, which the pre-divided ratio cannot give. The
+     *  global router's health gate does not read them: it takes each
+     *  run() slice's ClusterMetrics (GlobalRouter::observeRegion). */
     uint64_t retries = 0;
     uint64_t completions = 0;
     uint64_t backlog = 0;

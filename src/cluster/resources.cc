@@ -181,19 +181,6 @@ ResourceVector::nonNegative() const
     return true;
 }
 
-double
-ResourceVector::maxUtilizationVs(const ResourceVector &capacity) const
-{
-    double worst = 0.0;
-    for (int i = 0; i < capacity.size_; ++i) {
-        if (capacity.amounts_[i] > 0.0) {
-            worst = std::max(worst,
-                             get(capacity.ids_[i]) / capacity.amounts_[i]);
-        }
-    }
-    return worst;
-}
-
 std::vector<std::pair<std::string, double>>
 ResourceVector::dims() const
 {

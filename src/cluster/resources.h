@@ -104,9 +104,6 @@ class ResourceVector
     /** True if all dimensions are >= 0 (sanity checks). */
     bool nonNegative() const;
 
-    /** Fraction of @p capacity in use across its busiest dimension. */
-    double maxUtilizationVs(const ResourceVector &capacity) const;
-
     bool empty() const { return size_ == 0; }
 
     /** Number of (non-zero) dimensions stored. */

@@ -188,9 +188,7 @@ AvailabilityIndex::writeLeaf(int pos)
     const Worker *w = workers_[pos];
     const size_t stride = dims_.size();
     double *leaf = &tree_[(leaves_ + static_cast<uint32_t>(pos)) * stride];
-    const bool eligible =
-        !w->refused() && !(w->vcu() != nullptr && w->vcu()->disabled);
-    if (!eligible) {
+    if (!w->usable()) {
         for (size_t d = 0; d < stride; ++d)
             leaf[d] = -1.0;
         return;
@@ -297,27 +295,10 @@ BinPackScheduler::enableIndex()
     if (indexed_ || workers_.empty())
         return;
     index_.build(workers_);
-    int max_id = 0;
-    for (const Worker *w : workers_)
-        max_id = std::max(max_id, w->id());
-    pos_by_id_.assign(static_cast<size_t>(max_id) + 1, -1);
-    for (size_t pos = 0; pos < workers_.size(); ++pos) {
-        pos_by_id_[workers_[pos]->id()] = static_cast<int>(pos);
+    for (size_t pos = 0; pos < workers_.size(); ++pos)
         workers_[pos]->setAvailabilityListener(this,
                                                static_cast<int>(pos));
-    }
     indexed_ = true;
-}
-
-void
-BinPackScheduler::refresh(Worker &worker)
-{
-    if (!indexed_)
-        return;
-    const int pos = pos_by_id_[worker.id()];
-    WSVA_ASSERT(pos >= 0, "refresh() for an unindexed worker %d",
-                worker.id());
-    index_.update(pos);
 }
 
 void

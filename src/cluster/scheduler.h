@@ -130,14 +130,6 @@ class Scheduler
     virtual Worker *pick(const ResourceVector &need) = 0;
 
     /**
-     * Re-evaluate a worker whose fitness changed *outside* its own
-     * mutation paths — VCU health flips live in the host model, so
-     * fault injection must tell the scheduler explicitly. No-op for
-     * schedulers without derived state.
-     */
-    virtual void refresh(Worker &worker) { (void)worker; }
-
-    /**
      * The resources actually reserved on the worker for a request of
      * @p need: the request itself for the bin-packing scheduler, the
      * (element-wise max with the) fixed slot bundle for the legacy
@@ -166,13 +158,13 @@ class Scheduler
 /**
  * Segment-tree availability index over a fixed worker set. Interior
  * nodes hold the per-dimension *maximum* available amount across
- * their subtree (ineligible workers — refused or on a disabled VCU —
- * carry -1 in every dimension); a leftmost-first DFS that prunes
- * subtrees whose max cannot satisfy the request yields exactly the
- * first-fit-by-worker-number answer in O(dims x log n) typical, and
- * rejects an unsatisfiable request at the root in O(dims). The
- * linear first-fit scan this replaces is O(n) per placement — the
- * dominant cost at 200k workers.
+ * their subtree (workers that are not usable() carry -1 in every
+ * dimension); a leftmost-first DFS that prunes subtrees whose max
+ * cannot satisfy the request yields exactly the first-fit-by-worker-
+ * number answer in O(dims x log n) typical, and rejects an
+ * unsatisfiable request at the root in O(dims). The linear first-fit
+ * scan this replaces is O(n) per placement — the dominant cost at
+ * 200k workers.
  */
 class AvailabilityIndex
 {
@@ -213,9 +205,8 @@ class AvailabilityIndex
  * Placement is a linear first-fit scan by default; enableIndex()
  * switches to the segment-tree availability index (identical picks,
  * O(log n) instead of O(n)) and keeps it coherent by listening to
- * every worker's availability mutations. ClusterSim always enables
- * the index; standalone users that mutate VcuHealth directly without
- * calling refresh() should stay linear.
+ * every worker's availability mutations, VCU faults and repairs
+ * included. ClusterSim always enables the index.
  */
 class BinPackScheduler : public Scheduler, private WorkerAvailabilityListener
 {
@@ -231,8 +222,6 @@ class BinPackScheduler : public Scheduler, private WorkerAvailabilityListener
     /** True when placements use the segment-tree index. */
     bool indexed() const { return indexed_; }
 
-    void refresh(Worker &worker) override;
-
     /** Workers currently fully idle (candidates to stop). */
     int idleWorkers() const;
 
@@ -243,7 +232,6 @@ class BinPackScheduler : public Scheduler, private WorkerAvailabilityListener
     void onWorkerAvailabilityChanged(Worker &worker, int tag) override;
 
     std::vector<Worker *> workers_;
-    std::vector<int> pos_by_id_; //!< Worker id -> index position.
     AvailabilityIndex index_;
     bool indexed_ = false;
 };

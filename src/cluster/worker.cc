@@ -3,32 +3,39 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 
 namespace wsva::cluster {
 
-Worker::Worker(int id, WorkerType type, ResourceVector capacity)
-    : id_(id), type_(type), capacity_(std::move(capacity)),
-      available_(capacity_)
+Worker::Worker(int id, ResourceVector capacity)
+    : id_(id), capacity_(std::move(capacity)), available_(capacity_)
 {
+}
+
+void
+Worker::markFaulted(double now)
+{
+    health_.disabled = true;
+    health_.fault_time = now;
+    notifyAvailability();
+}
+
+void
+Worker::markSilentFault(double speed_factor)
+{
+    health_.silent_fault = true;
+    health_.speed_factor = speed_factor;
 }
 
 bool
 Worker::goldenScreen() const
 {
-    if (vcu_ == nullptr)
-        return true; // CPU workers have nothing to screen.
-    return !vcu_->disabled && !vcu_->silent_fault;
+    return !health_.disabled && !health_.silent_fault;
 }
 
 bool
 Worker::canFit(const ResourceVector &need) const
 {
-    if (refused_)
-        return false;
-    if (vcu_ != nullptr && vcu_->disabled)
-        return false;
-    return available_.fits(need);
+    return usable() && available_.fits(need);
 }
 
 void
@@ -37,27 +44,21 @@ Worker::assign(const TranscodeStep &step, const ResourceVector &need,
 {
     WSVA_ASSERT(canFit(need), "assigning step %lu beyond capacity",
                 static_cast<unsigned long>(step.id));
-    double factor = 1.0;
-    if (vcu_ != nullptr)
-        factor = vcu_->speed_factor;
     available_.subtract(need);
     WSVA_ASSERT(available_.nonNegative(), "negative availability");
-    running_.push_back({step, need, now, now + service_seconds * factor});
+    running_.push_back(
+        {step, need, now, now + service_seconds * health_.speed_factor});
     if (step.priority == Priority::Batch)
         ++batch_running_;
     notifyAvailability();
-    if (trace_ != nullptr) {
-        trace_->record(TraceEventType::StepScheduled, now, -1, id_,
-                       step.id, step.video_id);
-    }
 }
 
 void
 Worker::collectFinished(double now, std::vector<StepOutcome> &out)
 {
     out.clear();
-    const bool dead = vcu_ != nullptr && vcu_->disabled;
-    const bool corrupting = vcu_ != nullptr && vcu_->silent_fault;
+    const bool dead = health_.disabled;
+    const bool corrupting = health_.silent_fault;
     for (auto it = running_.begin(); it != running_.end();) {
         const bool finished = it->finish_time <= now;
         if (finished || dead) {
@@ -66,7 +67,7 @@ Worker::collectFinished(double now, std::vector<StepOutcome> &out)
             // be failed/retried (that skewed steps_retried and
             // output_pixels). Only work truly cut short fails.
             const bool failed =
-                dead && it->finish_time >= vcu_->fault_time;
+                dead && it->finish_time >= health_.fault_time;
             StepOutcome outcome;
             outcome.step = it->step;
             outcome.ok = !failed;
@@ -77,15 +78,6 @@ Worker::collectFinished(double now, std::vector<StepOutcome> &out)
             available_.add(it->need);
             if (it->step.priority == Priority::Batch)
                 --batch_running_;
-            if (metrics_ != nullptr && !failed) {
-                // Static name: one completion per step makes this a
-                // hot path; don't rebuild the string each time.
-                static const std::string kServiceSeconds =
-                    "worker.service_seconds";
-                metrics_->observe(kServiceSeconds,
-                                  outcome.finish_time - it->start_time,
-                                  0.0, 600.0, 60);
-            }
             it = running_.erase(it);
         } else {
             ++it;
@@ -116,7 +108,7 @@ Worker::canFitWithBatchPreempted(const ResourceVector &need) const
 {
     if (batch_running_ == 0)
         return false; // Nothing to preempt; canFit() already said no.
-    if (refused_ || (vcu_ != nullptr && vcu_->disabled))
+    if (!usable())
         return false;
     ResourceVector hypothetical = available_;
     for (const auto &r : running_) {
@@ -153,17 +145,10 @@ Worker::repairReset()
 {
     WSVA_ASSERT(running_.empty(), "repair reset with work in flight");
     available_ = capacity_;
+    health_ = VcuHealth{};
     needs_screen_ = false;
     refused_ = false;
     notifyAvailability();
-}
-
-double
-Worker::utilization() const
-{
-    ResourceVector used = capacity_;
-    used.subtract(available_);
-    return used.maxUtilizationVs(capacity_);
 }
 
 double

@@ -22,20 +22,13 @@
 #include "cluster/resources.h"
 #include "cluster/work.h"
 
-namespace wsva {
-class MetricsRegistry;
-class TraceLog;
-} // namespace wsva
-
 namespace wsva::cluster {
 
-/** Worker flavors. */
-enum class WorkerType : int {
-    Vcu = 0, //!< Exclusive access to one VCU.
-    Cpu = 1, //!< Software transcoding / non-transcoding steps.
-};
-
-/** Health of the VCU a worker is bound to. */
+/**
+ * Health of the one VCU a worker has exclusive use of. The worker
+ * owns it; only Worker::markFaulted, markSilentFault and repairReset
+ * change it.
+ */
 struct VcuHealth
 {
     bool disabled = false;      //!< Fault manager pulled it.
@@ -43,20 +36,11 @@ struct VcuHealth
     /** Service-time multiplier; silent faults often run "fast". */
     double speed_factor = 1.0;
     /**
-     * Sim time the hard fault hit. Steps whose finish time precedes
-     * it completed before the device died and must not be failed or
-     * retried. Defaults to -infinity ("faulted since forever") so a
-     * caller that sets `disabled` without a timestamp conservatively
-     * fails everything in flight.
+     * Sim time the hard fault hit (meaningful while disabled). Steps
+     * whose finish time precedes it completed before the device died
+     * and must not be failed or retried.
      */
-    double fault_time = -std::numeric_limits<double>::infinity();
-
-    /** Mark the VCU hard-faulted at @p now. */
-    void markFaulted(double now)
-    {
-        disabled = true;
-        fault_time = now;
-    }
+    double fault_time = 0.0;
 };
 
 /** Outcome of one step execution. */
@@ -74,10 +58,8 @@ class Worker;
 /**
  * Observer for worker availability changes. The bin-packing
  * scheduler's availability index registers itself here so that every
- * assign/collect/abort/reset keeps the index coherent without the
- * sim having to remember which mutations matter. Callers that mutate
- * a worker's VCU health directly (fault injection) must additionally
- * call Scheduler::refresh(), since health lives outside the worker.
+ * assign/collect/abort/preempt/fault/quarantine/repair keeps the index
+ * coherent without the sim having to remember which mutations matter.
  */
 class WorkerAvailabilityListener
 {
@@ -91,28 +73,33 @@ class WorkerAvailabilityListener
 class Worker
 {
   public:
-    Worker(int id, WorkerType type, ResourceVector capacity);
+    Worker(int id, ResourceVector capacity);
 
     int id() const { return id_; }
-    WorkerType type() const { return type_; }
     const ResourceVector &capacity() const { return capacity_; }
     const ResourceVector &available() const { return available_; }
 
-    /** Bind to VCU health state (owned by the host model). */
-    void bindVcu(VcuHealth *health) { vcu_ = health; }
-    const VcuHealth *vcu() const { return vcu_; }
+    /** Health of this worker's VCU. */
+    const VcuHealth &health() const { return health_; }
 
     /**
-     * Attach observability sinks (both optional, not owned; must
-     * outlive the worker). Assignments emit step-scheduled trace
-     * events; completions feed the per-step service-time histogram.
+     * The fault manager disabled the VCU at @p now (a hard fault, or
+     * the host draining for repair). Steps still running at @p now
+     * fail at the next collectFinished(); the worker takes no new
+     * work until repairReset().
      */
-    void attachObservability(wsva::MetricsRegistry *metrics,
-                             wsva::TraceLog *trace)
-    {
-        metrics_ = metrics;
-        trace_ = trace;
-    }
+    void markFaulted(double now);
+
+    /**
+     * The VCU turned silently faulty: steps assigned from now on run
+     * at @p speed_factor of their service time (steps already running
+     * keep their finish times), and every step collected from now on
+     * completes corrupt. The worker stays usable().
+     */
+    void markSilentFault(double speed_factor);
+
+    /** Neither quarantined nor on a disabled VCU: may take work. */
+    bool usable() const { return !refused_ && !health_.disabled; }
 
     /**
      * Worker startup screening: functional reset + golden transcodes
@@ -190,7 +177,7 @@ class Worker
     }
     bool refused() const { return refused_; }
 
-    /** Host came back from repair: fresh worker state. */
+    /** Host came back from repair: fresh worker and VCU state. */
     void repairReset();
 
     /**
@@ -208,8 +195,9 @@ class Worker
 
     /**
      * Register an availability observer (pass nullptr to detach).
-     * Fired after any mutation of available_/refused_ state; @p tag
-     * is echoed back (the index's dense position for this worker).
+     * Fired after any change to what usable() or available()
+     * return; @p tag is echoed back (the index's dense position for
+     * this worker).
      */
     void setAvailabilityListener(WorkerAvailabilityListener *listener,
                                  int tag)
@@ -220,9 +208,6 @@ class Worker
 
     size_t runningSteps() const { return running_.size(); }
     bool idle() const { return running_.empty(); }
-
-    /** Busiest-dimension utilization in [0, 1]. */
-    double utilization() const;
 
     /** Utilization of one interned dimension (resourceDimId) in
      *  [0, 1]. */
@@ -244,16 +229,13 @@ class Worker
     }
 
     int id_;
-    WorkerType type_;
     ResourceVector capacity_;
     ResourceVector available_;
     std::vector<Running> running_;
     size_t batch_running_ = 0; //!< Batch-priority entries in running_.
-    VcuHealth *vcu_ = nullptr;
+    VcuHealth health_;
     bool needs_screen_ = false;
     bool refused_ = false;
-    wsva::MetricsRegistry *metrics_ = nullptr;
-    wsva::TraceLog *trace_ = nullptr;
     WorkerAvailabilityListener *listener_ = nullptr;
     int listener_tag_ = -1;
 };

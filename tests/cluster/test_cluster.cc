@@ -309,6 +309,31 @@ TEST(ClusterSim, MetricsRegistryMirrorsRunCounters)
     EXPECT_GT(reg.seriesSnapshot("backlog").size(), 10u);
 }
 
+TEST(ClusterSim, ServiceTimeHistogramCountsEveryFinishedExecution)
+{
+    // worker.service_seconds takes one sample per execution that ran
+    // to its finish time: every completion (escaped corruption
+    // included) plus every detected-corrupt run, which finished but
+    // is retried. Executions a hard fault or a repair drain cut short
+    // take none.
+    ClusterConfig cfg;
+    cfg.hosts = 6;
+    cfg.vcus_per_host = 5;
+    cfg.seed = 7;
+    cfg.vcu_hard_fault_per_hour = 30.0;
+    cfg.vcu_silent_fault_per_hour = 15.0;
+    cfg.failure.host_fault_threshold = 2;
+    cfg.failure.repair_seconds = 90.0;
+    cfg.failure.repair_cap = 1;
+    ClusterSim sim(cfg);
+    const auto m = sim.run(600.0, 1.0, steadyArrivals(4));
+    ASSERT_GT(m.steps_failed, 0u);
+    ASSERT_GT(m.hosts_repaired, 0u);
+    ASSERT_GT(m.corrupt_detected, 0u);
+    EXPECT_EQ(sim.metricsRegistry().histogramCount("worker.service_seconds"),
+              m.steps_completed + m.corrupt_detected);
+}
+
 TEST(ClusterSim, TraceRecordsStepLifecycle)
 {
     ClusterSim sim(smallCluster());

@@ -35,10 +35,9 @@ TEST(EventQueue, EqualTimesBreakByTypeThenSequence)
 {
     // At one timestamp the tick phase order must be reproduced:
     // arrivals before faults before repairs before completions
-    // before SLO accounting before publish — and within a type,
-    // schedule order.
+    // before SLO accounting — and within a type, schedule order.
     EventQueue q;
-    q.schedule(5.0, SimEventType::Publish, 60);
+    q.schedule(5.0, SimEventType::SloEval, 51);
     q.schedule(5.0, SimEventType::WorkerDone, 40);
     q.schedule(5.0, SimEventType::ArrivalBatch, 0);
     q.schedule(5.0, SimEventType::WorkerDone, 41);
@@ -50,7 +49,7 @@ TEST(EventQueue, EqualTimesBreakByTypeThenSequence)
     std::vector<int32_t> order;
     while (!q.empty())
         order.push_back(q.pop().arg);
-    EXPECT_EQ(order, (std::vector<int32_t>{0, 10, 20, 30, 40, 41, 50, 60}));
+    EXPECT_EQ(order, (std::vector<int32_t>{0, 10, 20, 30, 40, 41, 51, 50}));
 }
 
 TEST(EventQueue, CancelRemovesOnlyTheTargetedEvent)
@@ -119,7 +118,7 @@ TEST(EventQueue, RandomizedAgainstReferenceOrdering)
     for (int i = 0; i < 5000; ++i) {
         const double t = rng.uniformReal(0.0, 100.0);
         const auto type =
-            static_cast<SimEventType>(rng.uniformInt(7));
+            static_cast<SimEventType>(rng.uniformInt(6));
         auto h = q.schedule(t, type, i);
         refs.push_back({t, type, static_cast<uint64_t>(i), i, h});
         if (rng.bernoulli(0.3)) {

@@ -89,14 +89,5 @@ TEST(ResourceVector, NonNegativeDetection)
     EXPECT_FALSE(neg.nonNegative());
 }
 
-TEST(ResourceVector, MaxUtilization)
-{
-    ResourceVector cap{{kResDecodeMillicores, 3000.0},
-                       {kResEncodeMillicores, 10000.0}};
-    ResourceVector used{{kResDecodeMillicores, 1500.0},
-                        {kResEncodeMillicores, 2000.0}};
-    EXPECT_DOUBLE_EQ(used.maxUtilizationVs(cap), 0.5);
-}
-
 } // namespace
 } // namespace wsva::cluster

@@ -18,8 +18,7 @@ class SchedulerTest : public testing::Test
     SetUp() override
     {
         for (int i = 0; i < 4; ++i) {
-            workers_.push_back(std::make_unique<Worker>(
-                i, WorkerType::Vcu, vcuWorkerCapacity()));
+            workers_.push_back(std::make_unique<Worker>(i, vcuWorkerCapacity()));
         }
         for (auto &w : workers_)
             raw_.push_back(w.get());
@@ -128,9 +127,7 @@ TEST_F(SchedulerTest, SlotReservationIsElementwiseMax)
 
 TEST_F(SchedulerTest, DisabledVcuSkipped)
 {
-    VcuHealth dead;
-    dead.disabled = true;
-    raw_[0]->bindVcu(&dead);
+    raw_[0]->markFaulted(0.0);
     BinPackScheduler sched(raw_);
     ResourceVector need{{kResEncodeMillicores, 1000.0}};
     Worker *w = sched.pick(need);
@@ -146,14 +143,9 @@ TEST(AvailabilityIndex, IndexedPicksMatchLinearScanUnderChurn)
     constexpr int kWorkers = 57; // Odd size: exercises tree padding.
     std::vector<std::unique_ptr<Worker>> indexed_own, linear_own;
     std::vector<Worker *> indexed, linear;
-    std::vector<VcuHealth> indexed_health(kWorkers), linear_health(kWorkers);
     for (int i = 0; i < kWorkers; ++i) {
-        indexed_own.push_back(std::make_unique<Worker>(
-            i, WorkerType::Vcu, vcuWorkerCapacity()));
-        linear_own.push_back(std::make_unique<Worker>(
-            i, WorkerType::Vcu, vcuWorkerCapacity()));
-        indexed_own[i]->bindVcu(&indexed_health[i]);
-        linear_own[i]->bindVcu(&linear_health[i]);
+        indexed_own.push_back(std::make_unique<Worker>(i, vcuWorkerCapacity()));
+        linear_own.push_back(std::make_unique<Worker>(i, vcuWorkerCapacity()));
         indexed.push_back(indexed_own[i].get());
         linear.push_back(linear_own[i].get());
     }
@@ -200,22 +192,23 @@ TEST(AvailabilityIndex, IndexedPicksMatchLinearScanUnderChurn)
             indexed[v]->collectFinished(now, outcomes);
             linear[v]->collectFinished(now, outcomes);
         } else if (kind == 8) {
-            // Health churn: fault or un-fault one VCU.
+            // Health churn: fault or repair one VCU, each through its
+            // one Worker call, with no follow-up for the index. A
+            // stale leaf after a fault would still pick right (the
+            // leaf's canFit guard rejects a dead worker), so
+            // Worker.FaultAndRepairNotifyTheAvailabilityListener checks
+            // the notification itself.
             const int v = rng.uniformRange(0, kWorkers - 1);
-            if (indexed_health[v].disabled) {
-                indexed_health[v] = VcuHealth{};
-                linear_health[v] = VcuHealth{};
+            if (indexed[v]->health().disabled) {
+                // A dead VCU fails everything still on it; repair
+                // needs the worker drained.
+                indexed[v]->collectFinished(now, outcomes);
+                linear[v]->collectFinished(now, outcomes);
                 indexed[v]->repairReset();
                 linear[v]->repairReset();
             } else {
-                indexed_health[v].markFaulted(now);
-                linear_health[v].markFaulted(now);
-                (void)indexed[v]->abortAll();
-                (void)linear[v]->abortAll();
-                // Health lives outside the worker: the index only
-                // hears about it via refresh().
-                indexed_sched.refresh(*indexed[v]);
-                linear_sched.refresh(*linear[v]);
+                indexed[v]->markFaulted(now);
+                linear[v]->markFaulted(now);
             }
         } else {
             // Quarantine toggle.
@@ -238,8 +231,7 @@ TEST(AvailabilityIndex, RootRejectIsCheapAndCorrect)
     std::vector<std::unique_ptr<Worker>> own;
     std::vector<Worker *> raw;
     for (int i = 0; i < 16; ++i) {
-        own.push_back(std::make_unique<Worker>(i, WorkerType::Vcu,
-                                               vcuWorkerCapacity()));
+        own.push_back(std::make_unique<Worker>(i, vcuWorkerCapacity()));
         raw.push_back(own[i].get());
     }
     BinPackScheduler sched(raw);

@@ -37,7 +37,7 @@ TEST(Worker, CapacityMatchesPaperMillicores)
 
 TEST(Worker, AssignReservesAndCompletionReleases)
 {
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
+    Worker w(0, vcuWorkerCapacity());
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
     EXPECT_EQ(w.available().get(kResEncodeMillicores), 8000);
     EXPECT_EQ(w.runningSteps(), 1u);
@@ -54,7 +54,7 @@ TEST(Worker, AssignReservesAndCompletionReleases)
 
 TEST(Worker, CanFitChecksAllDimensions)
 {
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
+    Worker w(0, vcuWorkerCapacity());
     ResourceVector huge{{kResEncodeMillicores, 10001.0}};
     EXPECT_FALSE(w.canFit(huge));
     EXPECT_TRUE(w.canFit(smallNeed()));
@@ -64,7 +64,7 @@ TEST(Worker, MultipleConcurrentSteps)
 {
     // "we designed our VCUs to perform multiple MOTs and SOTs in
     // parallel to boost encoder and VCU utilization."
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
+    Worker w(0, vcuWorkerCapacity());
     for (uint64_t i = 0; i < 5; ++i)
         w.assign(smallStep(i), smallNeed(), 0.0, 10.0);
     EXPECT_EQ(w.runningSteps(), 5u);
@@ -73,11 +73,11 @@ TEST(Worker, MultipleConcurrentSteps)
 
 TEST(Worker, DisabledVcuFailsInFlightWork)
 {
-    VcuHealth health;
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
-    w.bindVcu(&health);
+    Worker w(0, vcuWorkerCapacity());
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
-    health.disabled = true;
+    w.markFaulted(1.0);
+    EXPECT_TRUE(w.health().disabled);
+    EXPECT_FALSE(w.usable());
     std::vector<StepOutcome> done;
     w.collectFinished(1.0, done);
     ASSERT_EQ(done.size(), 1u);
@@ -91,12 +91,10 @@ TEST(Worker, FaultDoesNotFailWorkFinishedBeforeIt)
     // hard-faults at t=20. Only work still running at the fault may
     // fail — step 1's output already exists and used to be retried
     // anyway, double-counting completions.
-    VcuHealth health;
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
-    w.bindVcu(&health);
+    Worker w(0, vcuWorkerCapacity());
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
     w.assign(smallStep(2), smallNeed(), 0.0, 30.0);
-    health.markFaulted(20.0);
+    w.markFaulted(20.0);
 
     std::vector<StepOutcome> done;
     w.collectFinished(20.0, done);
@@ -111,29 +109,11 @@ TEST(Worker, FaultDoesNotFailWorkFinishedBeforeIt)
     EXPECT_DOUBLE_EQ(second.finish_time, 20.0);
 }
 
-TEST(Worker, UntimestampedDisableFailsConservatively)
-{
-    // Setting disabled without markFaulted leaves fault_time at
-    // -infinity: every in-flight step fails, even already-finished
-    // ones. Callers who know the fault time must use markFaulted.
-    VcuHealth health;
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
-    w.bindVcu(&health);
-    w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
-    health.disabled = true;
-    std::vector<StepOutcome> done;
-    w.collectFinished(15.0, done);
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_FALSE(done[0].ok);
-}
-
 TEST(Worker, SilentFaultCorruptsAndSpeedsUp)
 {
-    VcuHealth health;
-    health.silent_fault = true;
-    health.speed_factor = 0.5;
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
-    w.bindVcu(&health);
+    Worker w(0, vcuWorkerCapacity());
+    w.markSilentFault(0.5);
+    EXPECT_TRUE(w.usable()); // Silent: the worker keeps taking work.
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
     // Finishes at 5.0 (speed factor 0.5), corrupt.
     std::vector<StepOutcome> done;
@@ -145,17 +125,19 @@ TEST(Worker, SilentFaultCorruptsAndSpeedsUp)
 
 TEST(Worker, GoldenScreenCatchesFaults)
 {
-    VcuHealth health;
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
-    w.bindVcu(&health);
+    Worker w(0, vcuWorkerCapacity());
     EXPECT_TRUE(w.goldenScreen());
-    health.silent_fault = true;
+    w.markSilentFault(0.4);
+    EXPECT_FALSE(w.goldenScreen());
+    w.repairReset();
+    EXPECT_TRUE(w.goldenScreen());
+    w.markFaulted(3.0);
     EXPECT_FALSE(w.goldenScreen());
 }
 
 TEST(Worker, AbortReturnsStepsAndRequiresScreen)
 {
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
+    Worker w(0, vcuWorkerCapacity());
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
     w.assign(smallStep(2), smallNeed(), 0.0, 10.0);
     auto aborted = w.abortAll();
@@ -167,17 +149,60 @@ TEST(Worker, AbortReturnsStepsAndRequiresScreen)
 
 TEST(Worker, RefusedWorkerTakesNoWork)
 {
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
+    Worker w(0, vcuWorkerCapacity());
     w.setRefused(true);
+    EXPECT_FALSE(w.usable());
     EXPECT_FALSE(w.canFit(smallNeed()));
     w.repairReset();
+    EXPECT_TRUE(w.usable());
     EXPECT_TRUE(w.canFit(smallNeed()));
     EXPECT_FALSE(w.needsScreen());
 }
 
+TEST(Worker, RepairResetRestoresAHealthyVcu)
+{
+    // Repair is the only way back from either fault: it clears the
+    // disable, the silent fault and its speed factor together.
+    Worker w(0, vcuWorkerCapacity());
+    w.markSilentFault(0.25);
+    w.markFaulted(7.0);
+    EXPECT_FALSE(w.usable());
+    w.repairReset();
+    EXPECT_TRUE(w.usable());
+    EXPECT_FALSE(w.health().disabled);
+    EXPECT_FALSE(w.health().silent_fault);
+    EXPECT_DOUBLE_EQ(w.health().speed_factor, 1.0);
+    w.assign(smallStep(1), smallNeed(), 10.0, 4.0);
+    EXPECT_DOUBLE_EQ(w.nextFinishTime(), 14.0); // Full-length again.
+}
+
+/** Counts availability notifications for the listener tests. */
+struct CountingListener : WorkerAvailabilityListener
+{
+    int calls = 0;
+    void onWorkerAvailabilityChanged(Worker &, int) override { ++calls; }
+};
+
+TEST(Worker, FaultAndRepairNotifyTheAvailabilityListener)
+{
+    // The availability index hears about a fault only through this
+    // listener, so an idle worker (nothing to collect or abort) must
+    // still notify on markFaulted. A silent fault changes neither
+    // usable() nor available(), so it does not.
+    Worker w(0, vcuWorkerCapacity());
+    CountingListener listener;
+    w.setAvailabilityListener(&listener, 0);
+    w.markSilentFault(0.5);
+    EXPECT_EQ(listener.calls, 0);
+    w.markFaulted(1.0);
+    EXPECT_EQ(listener.calls, 1);
+    w.repairReset();
+    EXPECT_EQ(listener.calls, 2);
+}
+
 TEST(Worker, DimensionUtilization)
 {
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
+    Worker w(0, vcuWorkerCapacity());
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
     EXPECT_DOUBLE_EQ(
         w.dimensionUtilization(resourceDimId(kResEncodeMillicores)), 0.2);
@@ -187,7 +212,7 @@ TEST(Worker, DimensionUtilization)
 
 TEST(WorkerDeathTest, OverAssignPanics)
 {
-    Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
+    Worker w(0, vcuWorkerCapacity());
     ResourceVector huge{{kResEncodeMillicores, 20000.0}};
     EXPECT_DEATH(w.assign(smallStep(1), huge, 0.0, 1.0), "capacity");
 }
