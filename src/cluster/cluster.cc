@@ -129,6 +129,8 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
     completed_counter_ = registry_.counterHandle("cluster.steps_completed");
     retried_counter_ = registry_.counterHandle("cluster.steps_retried");
     failed_counter_ = registry_.counterHandle("cluster.steps_failed");
+    service_seconds_ =
+        registry_.histogramHandle("worker.service_seconds", 0.0, 600.0, 60);
 
     // Seed the board so /statusz answers before the first rollup tick.
     if (cfg_.observability && cfg_.fleet_publish_every_ticks > 0)
@@ -385,18 +387,14 @@ ClusterSim::processOutcome(HostModel &host, Worker *w,
 void
 ClusterSim::collectWorker(HostModel &host, Worker *w, double now)
 {
-    // Static name: one completion per step makes this a hot path;
-    // don't rebuild the string each time.
-    static const std::string kServiceSeconds = "worker.service_seconds";
     // processOutcome never collects, so the shared buffer is not
     // refilled while this loop reads it.
     w->collectFinished(now, outcomes_);
     in_flight_count_ -= outcomes_.size();
     for (const auto &outcome : outcomes_) {
         if (outcome.ok)
-            registry_.observe(kServiceSeconds,
-                              outcome.finish_time - outcome.start_time,
-                              0.0, 600.0, 60);
+            service_seconds_.observe(outcome.finish_time -
+                                     outcome.start_time);
         processOutcome(host, w, outcome, now);
     }
 }

@@ -534,12 +534,14 @@ class ClusterSim
     std::vector<double> repair_enter_;
     std::vector<double> quarantine_enter_;
 
-    // Pre-resolved handles for the per-step counters (hot paths run
-    // once per step; handles skip the name lookup).
+    // Pre-resolved handles for the per-step counters and the
+    // per-execution service-time histogram (hot paths run once per
+    // step; handles skip the name lookup).
     wsva::CounterHandle submitted_counter_;
     wsva::CounterHandle completed_counter_;
     wsva::CounterHandle retried_counter_;
     wsva::CounterHandle failed_counter_;
+    wsva::HistogramHandle service_seconds_;
 
     // Lifetime step ledger (never reset; spans run() calls).
     uint64_t submitted_total_ = 0;

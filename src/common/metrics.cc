@@ -130,6 +130,16 @@ MetricsRegistry::setGauge(const std::string &name, double value)
     gauges_[name] = value;
 }
 
+Histogram &
+MetricsRegistry::histogramLocked(const std::string &name, double lo,
+                                 double hi, size_t bins)
+{
+    auto it = histograms_.find(name);
+    if (it == histograms_.end())
+        it = histograms_.emplace(name, Histogram(lo, hi, bins)).first;
+    return it->second;
+}
+
 void
 MetricsRegistry::observe(const std::string &name, double value, double lo,
                          double hi, size_t bins)
@@ -137,11 +147,16 @@ MetricsRegistry::observe(const std::string &name, double value, double lo,
     if (!enabled())
         return;
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-        it = histograms_.emplace(name, Histogram(lo, hi, bins)).first;
-    }
-    it->second.add(value);
+    histogramLocked(name, lo, hi, bins).add(value);
+}
+
+HistogramHandle
+MetricsRegistry::histogramHandle(const std::string &name, double lo,
+                                 double hi, size_t bins)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return HistogramHandle(&histogramLocked(name, lo, hi, bins), &mutex_,
+                           &enabled_);
 }
 
 void
@@ -216,12 +231,13 @@ void
 MetricsRegistry::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Zero counters in place: outstanding CounterHandles keep
-    // pointing at live cells.
+    // Zero counters and empty histograms in place: outstanding
+    // handles keep pointing at live cells.
     for (auto &[name, value] : counters_)
         value.store(0, std::memory_order_relaxed);
+    for (auto &[name, h] : histograms_)
+        h.clear();
     gauges_.clear();
-    histograms_.clear();
     series_.clear();
 }
 
@@ -252,6 +268,8 @@ MetricsRegistry::toJson() const
     out += "\n  },\n  \"histograms\": {";
     first = true;
     for (const auto &[name, h] : histograms_) {
+        if (h.count() == 0)
+            continue;
         out += first ? "\n    " : ",\n    ";
         first = false;
         appendJsonString(out, name);
@@ -310,8 +328,10 @@ MetricsRegistry::toPrometheusText() const
         for (const auto &[name, value] : gauges_)
             gauges.emplace_back(name, value);
         histograms.reserve(histograms_.size());
-        for (const auto &[name, h] : histograms_)
-            histograms.emplace_back(name, h);
+        for (const auto &[name, h] : histograms_) {
+            if (h.count() > 0)
+                histograms.emplace_back(name, h);
+        }
     }
 
     // Family names are claimed in a fixed order (counters, gauges,

@@ -101,6 +101,42 @@ class CounterHandle
 };
 
 /**
+ * Pre-resolved handle to one registry histogram, the histogram twin of
+ * CounterHandle: the name lookup happens once, at
+ * MetricsRegistry::histogramHandle(); each observe() after that is an
+ * enabled check plus one Histogram::add under the registry lock, with
+ * no string and no map walk. Handles stay valid for the registry's
+ * lifetime (reset() empties the histogram behind a handle rather than
+ * discarding it). A default-constructed handle is a no-op.
+ */
+class HistogramHandle
+{
+  public:
+    HistogramHandle() = default;
+
+    void observe(double value) const
+    {
+        if (hist_ == nullptr ||
+            !enabled_->load(std::memory_order_relaxed))
+            return;
+        std::lock_guard<std::mutex> lock(*mutex_);
+        hist_->add(value);
+    }
+
+  private:
+    friend class MetricsRegistry;
+    HistogramHandle(Histogram *hist, std::mutex *mutex,
+                    const std::atomic<bool> *enabled)
+        : hist_(hist), mutex_(mutex), enabled_(enabled)
+    {
+    }
+
+    Histogram *hist_ = nullptr;
+    std::mutex *mutex_ = nullptr;
+    const std::atomic<bool> *enabled_ = nullptr;
+};
+
+/**
  * Named metrics: monotonic counters, last-value gauges, histograms,
  * and time-series samplers keyed by simulation time. All operations
  * are guarded by one mutex; record paths on a disabled registry skip
@@ -142,6 +178,16 @@ class MetricsRegistry
                  double hi = 1e9, size_t bins = 64);
 
     /**
+     * Handle to histogram @p name, created with the given range if
+     * absent (an existing histogram keeps its range). Like
+     * counterHandle(), it works whatever the enabled state at
+     * resolution time; each observe() re-checks the live flag.
+     */
+    HistogramHandle histogramHandle(const std::string &name,
+                                    double lo = 0.0, double hi = 1e9,
+                                    size_t bins = 64);
+
+    /**
      * Append a (sim-time, value) point to series @p name. Series are
      * bounded: past kMaxSeriesPoints every other point is dropped and
      * the sampling stride doubles, so long runs keep a coarse full
@@ -162,23 +208,27 @@ class MetricsRegistry
     std::vector<TimeSample> seriesSnapshot(const std::string &name) const;
 
     /** Drop all metrics (the enabled flag is left as-is). Counters
-     *  with outstanding handles are zeroed in place, not removed. */
+     *  and histograms, which handles point at, are zeroed and emptied
+     *  in place, not removed. */
     void reset();
 
     /**
      * JSON object with "schema_version", "counters", "gauges",
-     * "histograms" (bins plus p50/p90/p99), and "series" (stride +
-     * retained points). The schema version is bumped on structural
-     * changes so bench-JSON consumers can detect drift.
+     * "histograms" (bins plus p50/p90/p99; one with no samples, such
+     * as a resolved handle's before its first observe(), is left
+     * out), and "series" (stride + retained points). The schema
+     * version is bumped on structural changes so bench-JSON consumers
+     * can detect drift.
      */
     std::string toJson() const;
 
     /**
      * Prometheus text exposition (format 0.0.4) of the registry:
-     * counters, gauges, and histograms with HELP/TYPE lines. Names
-     * are sanitized (see sanitizePrometheusName) and collisions are
-     * resolved deterministically with numeric suffixes, so two
-     * registry names never share an exposition family. Histogram
+     * counters, gauges, and histograms (those with samples, as in
+     * toJson()) with HELP/TYPE lines. Names are sanitized (see
+     * sanitizePrometheusName) and collisions are resolved
+     * deterministically with numeric suffixes, so two registry names
+     * never share an exposition family. Histogram
      * buckets are cumulative over the bin upper edges (underflow
      * lands in the first bucket, "+Inf" equals the total count) and
      * the `_sum` is estimated from bin midpoints — the same
@@ -198,9 +248,15 @@ class MetricsRegistry
         std::vector<TimeSample> points;
     };
 
+    /** Histogram @p name, created with the given range if absent.
+     *  The caller holds mutex_. */
+    Histogram &histogramLocked(const std::string &name, double lo,
+                               double hi, size_t bins);
+
     std::atomic<bool> enabled_{true};
     mutable std::mutex mutex_;
-    // node-based map: counter cells are address-stable for handles.
+    // node-based maps: counter cells and histograms are address-stable
+    // for handles.
     std::map<std::string, std::atomic<uint64_t>> counters_;
     std::map<std::string, double> gauges_;
     std::map<std::string, Histogram> histograms_;

@@ -83,6 +83,15 @@ Histogram::add(double x)
     }
 }
 
+void
+Histogram::clear()
+{
+    std::fill(counts_.begin(), counts_.end(), 0);
+    underflow_ = 0;
+    overflow_ = 0;
+    count_ = 0;
+}
+
 double
 Histogram::quantile(double q) const
 {

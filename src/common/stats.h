@@ -99,6 +99,9 @@ class Histogram
     /** Approximate quantile q in [0,1] from bin midpoints. */
     double quantile(double q) const;
 
+    /** Drop every sample; the range and the bins stay. */
+    void clear();
+
   private:
     double lo_;
     double hi_;

@@ -12,6 +12,7 @@
 #include "video/codec/intra.h"
 #include "video/codec/loop_filter.h"
 #include "video/codec/mb_common.h"
+#include "video/codec/mode_bound.h"
 #include "video/codec/temporal_filter.h"
 #include "video/codec/transform.h"
 
@@ -87,6 +88,17 @@ struct Candidate
     }
 };
 
+/** Source samples of one macroblock and the prediction under test. */
+struct MbSamples
+{
+    uint8_t src_y[kMbSize * kMbSize];
+    uint8_t src_u[kHalf * kHalf];
+    uint8_t src_v[kHalf * kHalf];
+    uint8_t pred_y[kMbSize * kMbSize];
+    uint8_t pred_u[kHalf * kHalf];
+    uint8_t pred_v[kHalf * kHalf];
+};
+
 /** The per-sequence encoder engine. */
 class Engine
 {
@@ -111,11 +123,17 @@ class Engine
                      StreamWriter &sw, EncodedChunk &chunk);
     Candidate decideMb(const Frame &src, const Frame &recon, int mbx,
                        int mby, FrameType type, int qp, double lambda);
-    double evalResidual(const uint8_t *src_y, const uint8_t *src_u,
-                        const uint8_t *src_v, const uint8_t *pred_y,
-                        const uint8_t *pred_u, const uint8_t *pred_v,
-                        int qp, double lambda, int mode_bits,
-                        Candidate &cand) const;
+    /**
+     * Code the six 8x8 residual blocks of @p cand, a candidate of rank
+     * @p rank, against the prediction in @p mb, and set its cost.
+     * Returns false as soon as its partial cost loses to @p bound's
+     * best, leaving @p cand part-written. @p predict_chroma fills the
+     * chroma prediction once the luma blocks survive.
+     */
+    template <typename PredictChroma>
+    bool evalResidual(const MbSamples &mb, int qp, int mode_bits, int rank,
+                      const ModeBound &bound, PredictChroma &&predict_chroma,
+                      Candidate &cand) const;
     void predictInter(const Candidate &cand, int x, int y, uint8_t *pred_y,
                       uint8_t *pred_u, uint8_t *pred_v) const;
     void writeMb(SyntaxWriter &writer, const Candidate &cand,
@@ -147,11 +165,11 @@ Engine::predictInter(const Candidate &cand, int x, int y, uint8_t *pred_y,
                          pred_u, pred_v);
 }
 
-double
-Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
-                     const uint8_t *src_v, const uint8_t *pred_y,
-                     const uint8_t *pred_u, const uint8_t *pred_v, int qp,
-                     double lambda, int mode_bits, Candidate &cand) const
+template <typename PredictChroma>
+bool
+Engine::evalResidual(const MbSamples &mb, int qp, int mode_bits, int rank,
+                     const ModeBound &bound, PredictChroma &&predict_chroma,
+                     Candidate &cand) const
 {
     uint64_t dist = 0;
     int bits = mode_bits;
@@ -159,27 +177,34 @@ Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
 
     ResidualBlock residual;
     ResidualBlock rres;
-    // One 8x8 transform block: code it, reconstruct it, and add its
-    // distortion and rate.
+    // One 8x8 transform block: code it, reconstruct it, add its
+    // distortion and rate, and say whether the candidate can still win.
     auto block = [&](const uint8_t *src, const uint8_t *pred, int stride,
                      CoeffBlock &levels, uint8_t *recon) {
         subtractBlock8x8(src, pred, stride, residual);
         cand.nonzero += transformQuantize(residual, qp, tools_.deadzone,
-                                          tools_.coeff_opt, lambda, levels,
-                                          rres);
+                                          tools_.coeff_opt, bound.lambda(),
+                                          levels, rres);
         dist += reconstructBlock8x8(pred, stride, rres, recon, stride, src);
         bits += estimateCoeffBits(levels);
+        return !bound.partialLoses(dist, bits, rank);
     };
     for (int q = 0; q < 4; ++q) {
         const int off = quadrantOffset(q);
-        block(src_y + off, pred_y + off, kMbSize,
-              cand.coeff_y[static_cast<size_t>(q)], cand.recon_y.data() + off);
+        if (!block(mb.src_y + off, mb.pred_y + off, kMbSize,
+                   cand.coeff_y[static_cast<size_t>(q)],
+                   cand.recon_y.data() + off))
+            return false;
     }
-    block(src_u, pred_u, kHalf, cand.coeff_u, cand.recon_u.data());
-    block(src_v, pred_v, kHalf, cand.coeff_v, cand.recon_v.data());
+    predict_chroma();
+    if (!block(mb.src_u, mb.pred_u, kHalf, cand.coeff_u,
+               cand.recon_u.data()) ||
+        !block(mb.src_v, mb.pred_v, kHalf, cand.coeff_v,
+               cand.recon_v.data()))
+        return false;
 
-    cand.cost = static_cast<double>(dist) + lambda * bits;
-    return cand.cost;
+    cand.cost = bound.cost(dist, bits);
+    return true;
 }
 
 Candidate
@@ -194,81 +219,105 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
     const int x = mbx * kMbSize;
     const int y = mby * kMbSize;
 
-    uint8_t src_y[kMbSize * kMbSize];
-    uint8_t src_u[kHalf * kHalf];
-    uint8_t src_v[kHalf * kHalf];
-    extractBlock(src.y(), x, y, kMbSize, src_y);
-    extractBlock(src.u(), x / 2, y / 2, kHalf, src_u);
-    extractBlock(src.v(), x / 2, y / 2, kHalf, src_v);
+    MbSamples mb;
+    extractBlock(src.y(), x, y, kMbSize, mb.src_y);
+    extractBlock(src.u(), x / 2, y / 2, kHalf, mb.src_u);
+    extractBlock(src.v(), x / 2, y / 2, kHalf, mb.src_v);
 
-    uint8_t pred_y[kMbSize * kMbSize];
-    uint8_t pred_u[kHalf * kHalf];
-    uint8_t pred_v[kHalf * kHalf];
-
+    // Branch and bound (mode_bound.h): the inter candidates, which
+    // usually win on inter frames, run before the intra ones, and each
+    // candidate stops as soon as a lower bound of its cost loses. The
+    // winner is the lowest (cost, rank), so it is the candidate that
+    // evaluating all of them in rank order picks.
+    ModeBound bound(lambda);
     Candidate best;
-    best.cost = 1e30;
+    auto offer = [&](const Candidate &cand, int rank) {
+        if (bound.offer(cand.cost, rank))
+            best = cand;
+    };
 
     // ---- Intra candidates (always legal). -------------------------
-    static constexpr IntraMode kModes[] = {
-        IntraMode::Dc, IntraMode::Vertical, IntraMode::Horizontal,
-        IntraMode::TrueMotion};
-    const int intra_modes = std::clamp(tools_.num_intra_modes, 1, 4);
-    for (int m = 0; m < intra_modes; ++m) {
-        const IntraMode mode = kModes[m];
-        {
-            static const int kIntraPhase = prof::phaseId("codec/intra");
-            prof::ProfScopeSampled intra_scope(kIntraPhase, 16);
-            intraPredict(recon.y(), x, y, kMbSize, mode, pred_y);
-            intraPredict(recon.u(), x / 2, y / 2, kHalf, mode, pred_u);
-            intraPredict(recon.v(), x / 2, y / 2, kHalf, mode, pred_v);
+    auto tryIntra = [&] {
+        static constexpr IntraMode kModes[] = {
+            IntraMode::Dc, IntraMode::Vertical, IntraMode::Horizontal,
+            IntraMode::TrueMotion};
+        static const int kIntraPhase = prof::phaseId("codec/intra");
+        const int intra_modes = std::clamp(tools_.num_intra_modes, 1, 4);
+        for (int m = 0; m < intra_modes; ++m) {
+            const IntraMode mode = kModes[m];
+            int mode_bits = ueBits(static_cast<uint32_t>(mode));
+            if (type != FrameType::Key)
+                mode_bits += 2; // skip=0 + is_inter=0.
+            if (bound.floorLoses(mode_bits, kRankIntra + m))
+                continue;
+            {
+                prof::ProfScopeSampled intra_scope(kIntraPhase, 16);
+                intraPredict(recon.y(), x, y, kMbSize, mode, mb.pred_y);
+            }
+            // Chroma is predicted only once the luma blocks survive.
+            auto predictChroma = [&] {
+                prof::ProfScopeSampled intra_scope(kIntraPhase, 16);
+                intraPredict(recon.u(), x / 2, y / 2, kHalf, mode,
+                             mb.pred_u);
+                intraPredict(recon.v(), x / 2, y / 2, kHalf, mode,
+                             mb.pred_v);
+            };
+            Candidate cand;
+            cand.inter = false;
+            cand.imode = mode;
+            if (evalResidual(mb, qp, mode_bits, kRankIntra + m, bound,
+                             predictChroma, cand))
+                offer(cand, kRankIntra + m);
         }
-        Candidate cand;
-        cand.inter = false;
-        cand.imode = mode;
-        int mode_bits = ueBits(static_cast<uint32_t>(mode));
-        if (type != FrameType::Key)
-            mode_bits += 2; // skip=0 + is_inter=0.
-        evalResidual(src_y, src_u, src_v, pred_y, pred_u, pred_v, qp,
-                     lambda, mode_bits, cand);
-        if (cand.cost < best.cost)
-            best = cand;
-    }
+    };
 
-    if (type == FrameType::Key)
+    if (type == FrameType::Key) {
+        tryIntra();
         return best;
+    }
 
     // ---- Inter candidates. ----------------------------------------
     const Mv mvp = mvPredictor(grid_, mb_cols_, mbx, mby);
+    // An inter candidate whose rate floor survives: predict it, then
+    // code its residual.
+    auto tryInter = [&](Candidate &cand, int mode_bits, int rank) {
+        if (bound.floorLoses(mode_bits, rank))
+            return;
+        predictInter(cand, x, y, mb.pred_y, mb.pred_u, mb.pred_v);
+        if (evalResidual(mb, qp, mode_bits, rank, bound, [] {}, cand))
+            offer(cand, rank);
+    };
 
-    // Skip candidate: predictor MV on LAST, zero residual.
+    // Skip candidate: predictor MV on LAST, zero residual. It runs
+    // first, so there is nothing yet to prune it against.
     {
         Candidate cand;
         cand.inter = true;
         cand.ref = {kRefLast, kRefLast, kRefLast, kRefLast};
         cand.mv = {mvp, mvp, mvp, mvp};
-        predictInter(cand, x, y, pred_y, pred_u, pred_v);
+        predictInter(cand, x, y, mb.pred_y, mb.pred_u, mb.pred_v);
         // Reconstructed with a zero residual: the prediction, and its
         // distortion.
         static constexpr ResidualBlock kNoResidual{};
         uint64_t dist = 0;
         for (int q = 0; q < 4; ++q) {
             const int off = quadrantOffset(q);
-            dist += reconstructBlock8x8(pred_y + off, kMbSize, kNoResidual,
+            dist += reconstructBlock8x8(mb.pred_y + off, kMbSize,
+                                        kNoResidual,
                                         cand.recon_y.data() + off, kMbSize,
-                                        src_y + off);
+                                        mb.src_y + off);
         }
-        dist += reconstructBlock8x8(pred_u, kHalf, kNoResidual,
-                                    cand.recon_u.data(), kHalf, src_u);
-        dist += reconstructBlock8x8(pred_v, kHalf, kNoResidual,
-                                    cand.recon_v.data(), kHalf, src_v);
+        dist += reconstructBlock8x8(mb.pred_u, kHalf, kNoResidual,
+                                    cand.recon_u.data(), kHalf, mb.src_u);
+        dist += reconstructBlock8x8(mb.pred_v, kHalf, kNoResidual,
+                                    cand.recon_v.data(), kHalf, mb.src_v);
         cand.nonzero = 0;
         for (auto &cb : cand.coeff_y)
             cb.fill(0);
         cand.coeff_u.fill(0);
         cand.coeff_v.fill(0);
-        cand.cost = static_cast<double>(dist) + lambda * 1.0;
-        if (cand.cost < best.cost)
-            best = cand;
+        cand.cost = bound.cost(dist, 1);
+        offer(cand, kRankSkip);
     }
 
     // Motion search per distinct reference slot.
@@ -335,15 +384,11 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
         cand.inter = true;
         cand.ref = {rs.slot, rs.slot, rs.slot, rs.slot};
         cand.mv = {rs.result.mv, rs.result.mv, rs.result.mv, rs.result.mv};
-        predictInter(cand, x, y, pred_y, pred_u, pred_v);
         int mode_bits = 2 + ueBits(static_cast<uint32_t>(rs.slot)) +
                         estimateSIntBits(rs.result.mv.x - mvp.x) +
                         estimateSIntBits(rs.result.mv.y - mvp.y) +
                         (cfg_.codec == CodecType::VP9 ? 1 : 0) + 1;
-        evalResidual(src_y, src_u, src_v, pred_y, pred_u, pred_v, qp,
-                     lambda, mode_bits, cand);
-        if (cand.cost < best.cost)
-            best = cand;
+        tryInter(cand, mode_bits, kRankInter + i);
     }
 
     // Compound prediction (VP9 profile, needs two distinct refs).
@@ -360,21 +405,22 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
         cand.mv = {r0.result.mv, r0.result.mv, r0.result.mv, r0.result.mv};
         cand.ref2 = r1.slot;
         cand.mv2 = r1.result.mv;
-        predictInter(cand, x, y, pred_y, pred_u, pred_v);
         int mode_bits = 3 + ueBits(static_cast<uint32_t>(r0.slot)) +
                         ueBits(static_cast<uint32_t>(r1.slot)) +
                         estimateSIntBits(r0.result.mv.x - mvp.x) +
                         estimateSIntBits(r0.result.mv.y - mvp.y) +
                         estimateSIntBits(r1.result.mv.x - mvp.x) +
                         estimateSIntBits(r1.result.mv.y - mvp.y) + 2;
-        evalResidual(src_y, src_u, src_v, pred_y, pred_u, pred_v, qp,
-                     lambda, mode_bits, cand);
-        if (cand.cost < best.cost)
-            best = cand;
+        tryInter(cand, mode_bits, kRankCompound);
     }
 
-    // Split into four 8x8 partitions on the best ref.
-    if (tools_.allow_split && cfg_.rdo_rounds >= 2 && n_order >= 1) {
+    // Split into four 8x8 partitions on the best ref. Each partition
+    // signals at least its ref index and two 1-bit MV deltas, so the
+    // four 8x8 searches run only if that floor can still win.
+    if (tools_.allow_split && cfg_.rdo_rounds >= 2 && n_order >= 1 &&
+        !bound.floorLoses(
+            4 + 4 * (ueBits(static_cast<uint32_t>(order[0])) + 2),
+            kRankSplit)) {
         const int slot = order[0];
         Candidate cand;
         cand.inter = true;
@@ -392,13 +438,10 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
                          estimateSIntBits(mr.mv.x - mvp.x) +
                          estimateSIntBits(mr.mv.y - mvp.y);
         }
-        predictInter(cand, x, y, pred_y, pred_u, pred_v);
-        evalResidual(src_y, src_u, src_v, pred_y, pred_u, pred_v, qp,
-                     lambda, mode_bits, cand);
-        if (cand.cost < best.cost)
-            best = cand;
+        tryInter(cand, mode_bits, kRankSplit);
     }
 
+    tryIntra();
     return best;
 }
 

@@ -132,6 +132,62 @@ TEST(MetricsRegistry, ResetClears)
     EXPECT_TRUE(m.enabled());
 }
 
+TEST(MetricsRegistry, HistogramHandleMatchesObserveByName)
+{
+    // Samples below, inside and above the range, and a second
+    // histogram that only the by-name path touches.
+    const double values[] = {-1.0, 0.0, 3.5, 42.0, 99.9, 100.0, 1e6};
+    MetricsRegistry by_name;
+    MetricsRegistry by_handle;
+    const HistogramHandle h =
+        by_handle.histogramHandle("svc.seconds", 0.0, 100.0, 20);
+    for (const double v : values) {
+        by_name.observe("svc.seconds", v, 0.0, 100.0, 20);
+        h.observe(v);
+    }
+    by_name.observe("other", 1.0);
+    by_handle.observe("other", 1.0);
+    EXPECT_EQ(by_handle.histogramCount("svc.seconds"), 7u);
+    EXPECT_EQ(by_handle.toJson(), by_name.toJson());
+    EXPECT_EQ(by_handle.toPrometheusText(), by_name.toPrometheusText());
+}
+
+TEST(MetricsRegistry, DarkHistogramHandleRecordsNothing)
+{
+    MetricsRegistry fresh;
+    MetricsRegistry m;
+    m.setEnabled(false);
+    const HistogramHandle h = m.histogramHandle("h", 0.0, 10.0, 10);
+    h.observe(1.0);
+    EXPECT_EQ(m.histogramCount("h"), 0u);
+    // A histogram with no samples is not exported.
+    EXPECT_EQ(m.toJson(), fresh.toJson());
+    EXPECT_EQ(m.toPrometheusText(), fresh.toPrometheusText());
+    // The handle reads the live flag, not the one at resolution.
+    m.setEnabled(true);
+    h.observe(1.0);
+    EXPECT_EQ(m.histogramCount("h"), 1u);
+    // A default-constructed handle is a no-op.
+    HistogramHandle().observe(1.0);
+}
+
+TEST(MetricsRegistry, ResetEmptiesHistogramsInPlace)
+{
+    MetricsRegistry fresh;
+    MetricsRegistry m;
+    const HistogramHandle h = m.histogramHandle("h", 0.0, 10.0, 10);
+    h.observe(2.0);
+    m.observe("by_name", 2.0);
+    m.reset();
+    EXPECT_EQ(m.histogramCount("h"), 0u);
+    EXPECT_EQ(m.histogramCount("by_name"), 0u);
+    EXPECT_EQ(m.toJson(), fresh.toJson());
+    // The handle still points at the live histogram.
+    h.observe(3.0);
+    EXPECT_EQ(m.histogramCount("h"), 1u);
+    EXPECT_NEAR(m.histogramQuantile("h", 0.5), 3.5, 1e-9);
+}
+
 TEST(TraceLog, RecordsTypedEvents)
 {
     TraceLog log;
